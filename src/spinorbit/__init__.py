@@ -23,13 +23,12 @@ from .catalog import (
 from .certification import (
     GREEN_ETA_HAT_MAX,
     CertificationReport,
+    Conditions,
     certify,
     certify_catalog,
-    eta_max,
+    conditions,
     green_eta_cap,
     green_norm_bound,
-    nonempty_margin,
-    range_margin,
 )
 from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual, rhs
 from .kepler import CRITICAL_ECC, AnomalyTriple, KeplerError, anomalies, eccentric_anomaly
@@ -47,7 +46,6 @@ from .solver import (
     PeriodicFunction,
     RangeSolution,
     ResonantOrbit,
-    bifurcation_halfwidth,
     green_apply,
     phi_hat,
     phi_mean,

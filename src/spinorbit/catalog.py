@@ -93,6 +93,10 @@ class Body:
     def __post_init__(self):
         if not self.name:
             raise CatalogError("body name must be non-empty")
+        for field in ("a_km", "b_km", "c_km", "e", "rigidity"):
+            value = getattr(self, field)
+            if value is not None and not math.isfinite(value):
+                raise CatalogError(f"{self.name}: {field}={value} is not finite")
         if not (self.a_km > 0.0 and self.b_km > 0.0):
             raise CatalogError(f"{self.name}: radii must be positive")
         if self.a_km < self.b_km:

@@ -1,41 +1,42 @@
 """Existence conditions for p:q spin-orbit resonances and report assembly.
 
-A body certifies when four inequalities hold simultaneously.  With
-eps the oblateness, e the eccentricity, nu the dissipation drift and
-alpha_j the resonant Fourier coefficient of the tidal potential
-(j = 2 for 1:1, j = 3 for 3:2):
+In the rescaled ("hatted") parameters of the period-normalized equation,
 
-1. Green-operator norm: eta_hat = q eta small enough that the inverse of
-   u'' + eta_hat u' on zero-average periodic functions has norm <= 5/4;
-   this caps eta at (pi/(5q)) (10/pi^2 - 1).
-2. Range (contraction) condition: eps < (1-e)^3/5 for 1:1 and (1-e)^3/20
-   for 3:2, which makes the periodic-correction fixed-point map contract.
-3. Non-empty (topological) condition: eps < (2(1-e)^6/5)|alpha_2| for 1:1,
-   eps < ((1-e)^6/10)|alpha_3| for 3:2, guaranteeing the scalar phase
-   equation sweeps an interval of positive half-width.
-4. Bifurcation condition: an explicit ceiling on eta ensuring the phase
-   equation's target value stays inside that interval.
+    eps_hat = q^2 eps,   eta_hat = q eta,   nu_hat = q nu - p,
 
-All |alpha_j| enter through the certified lower bound (truncated series
-minus Cauchy remainder), so a positive report is conservative.
+the 1:1 and 3:2 resonances obey the same four inequalities.  With e the
+eccentricity, a the certified lower bound on |alpha_j| (j = 2p/q; the
+truncated series minus its Cauchy remainder, so a positive report is
+conservative) and m = (1-e)^6:
+
+1. Green-operator norm: eta_hat <= GREEN_ETA_HAT_MAX, which keeps the
+   inverse of u'' + eta_hat u' on zero-average functions at norm <= 5/4.
+2. Range (contraction): eps_hat < (1-e)^3/5, which makes the
+   periodic-correction fixed-point map contract.
+3. Non-empty (topological): eps_hat < (2/5) m a, so that the scalar phase
+   equation sweeps an interval of positive half-width 2a - 5 eps_hat/m.
+4. Bifurcation: eta_hat |nu_hat| <= eps_hat (2a - 5 eps_hat/m), which keeps
+   the phase equation's target value inside that interval.
+
+:func:`conditions` is the one statement of these inequalities; the
+certifier, the solver's preconditions and the command line all read it.
 """
 
 import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .catalog import Body
+from .catalog import SUPPORTED_RESONANCES, Body, ResonanceParams
 from .potential import alpha_lower_bound
 
 __all__ = [
     "GREEN_ETA_HAT_MAX",
     "green_eta_cap",
     "green_norm_bound",
-    "range_margin",
-    "nonempty_margin",
-    "eta_max",
+    "Conditions",
+    "conditions",
     "certify",
     "certify_catalog",
     "CertificationReport",
@@ -67,48 +68,68 @@ def green_norm_bound(eta_hat: float) -> float:
     return (1.0 + half_pi_eta / (1.0 - half_pi_eta)) * math.pi**2 / 8.0
 
 
-def _check_resonance(p, q):
-    if (p, q) not in ((1, 1), (3, 2)):
-        raise ValueError(f"unsupported resonance {p}:{q} (certifiable: 1:1 and 3:2)")
+@dataclass(frozen=True)
+class Conditions:
+    """The four conditions at one parameter set, in hatted units.
 
-
-def range_margin(e: float, eps: float, p: int, q: int) -> float:
-    """RHS - LHS of the contraction condition; positive iff it holds."""
-    _check_resonance(p, q)
-    divisor = 5.0 if (p, q) == (1, 1) else 20.0
-    return (1.0 - e) ** 3 / divisor - eps
-
-
-def nonempty_margin(e: float, eps: float, p: int, q: int) -> float:
-    """RHS - LHS of the topological condition, with |alpha_j| replaced by
-    its certified lower bound (conservative)."""
-    _check_resonance(p, q)
-    if (p, q) == (1, 1):
-        return 0.4 * (1.0 - e) ** 6 * alpha_lower_bound(2, e) - eps
-    return 0.1 * (1.0 - e) ** 6 * alpha_lower_bound(3, e) - eps
-
-
-def eta_max(e: float, eps: float, nu: float, p: int, q: int) -> float:
-    """Ceiling on eta from the bifurcation condition.
-
-    Returns +inf when q nu - p = 0 (the constraint degenerates and only the
-    Green-norm cap remains) and 0.0 when the bracket
-    2|alpha_j| - {5,20} eps/(1-e)^6 is non-positive (no certificate).
+    ``green``, ``range``, ``nonempty`` and ``bifurcation`` are margins: the
+    right-hand side minus the left-hand side of each inequality.  The
+    strict ones (range, non-empty) hold when positive, the others when
+    non-negative.  ``halfwidth`` is 2a - 5 eps_hat/(1-e)^6, and
+    ``eta_hat_bif`` the bifurcation ceiling on eta_hat: 0.0 when the
+    half-width is not positive (no certificate at any eta), +inf when
+    nu_hat = 0 (only the Green cap remains).
     """
-    _check_resonance(p, q)
-    if (p, q) == (1, 1):
-        bracket = 2.0 * alpha_lower_bound(2, e) - 5.0 * eps / (1.0 - e) ** 6
-        denom = abs(nu - 1.0)
-        scale = eps
+
+    alpha_lower: float
+    halfwidth: float
+    eta_hat_bif: float
+    green: float
+    range: float
+    nonempty: float
+    bifurcation: float
+
+    @property
+    def failed(self) -> tuple:
+        """Names of the failed conditions, in the order stated above."""
+        holds = {
+            "green": self.green >= 0.0,
+            "range": self.range > 0.0,
+            "nonempty": self.nonempty > 0.0,
+            "bifurcation": self.eta_hat_bif > 0.0 and self.bifurcation >= 0.0,
+        }
+        return tuple(name for name, ok in holds.items() if not ok)
+
+
+def conditions(params: ResonanceParams) -> Conditions:
+    """Evaluate the four existence conditions at ``params``.
+
+    Raises ValueError for a resonance outside the supported ones, and (from
+    ``alpha_lower_bound``) for e outside the certified disk of j.
+    """
+    if (params.p, params.q) not in SUPPORTED_RESONANCES:
+        raise ValueError(
+            f"unsupported resonance {params.p}:{params.q} (certifiable: 1:1 and 3:2)"
+        )
+    e, eps_hat, eta_hat, nu_hat = params.e, params.eps_hat, params.eta_hat, params.nu_hat
+    alpha = alpha_lower_bound(params.harmonic, e)
+    m = (1.0 - e) ** 6
+    halfwidth = 2.0 * alpha - 5.0 * eps_hat / m
+    if halfwidth <= 0.0:
+        eta_hat_bif = 0.0
+    elif nu_hat == 0.0:
+        eta_hat_bif = math.inf
     else:
-        bracket = 2.0 * alpha_lower_bound(3, e) - 20.0 * eps / (1.0 - e) ** 6
-        denom = abs(2.0 * nu - 3.0)
-        scale = 2.0 * eps
-    if bracket <= 0.0:
-        return 0.0
-    if denom == 0.0:
-        return math.inf
-    return scale / denom * bracket
+        eta_hat_bif = eps_hat / abs(nu_hat) * halfwidth
+    return Conditions(
+        alpha_lower=alpha,
+        halfwidth=halfwidth,
+        eta_hat_bif=eta_hat_bif,
+        green=GREEN_ETA_HAT_MAX - eta_hat,
+        range=(1.0 - e) ** 3 / 5.0 - eps_hat,
+        nonempty=0.4 * m * alpha - eps_hat,
+        bifurcation=eta_hat_bif - eta_hat,
+    )
 
 
 @dataclass(frozen=True)
@@ -131,56 +152,32 @@ class CertificationReport:
     certified: bool
 
     def to_dict(self) -> dict:
-        d = {
-            "body_name": self.body_name,
-            "alpha_lower": self.alpha_lower,
-            "range_margin": self.range_margin,
-            "nonempty_margin": self.nonempty_margin,
-            "eta_bif_max": self.eta_bif_max,
-            "eta_green_max": self.eta_green_max,
-            "eta_admissible": self.eta_admissible,
-            "certified": self.certified,
-        }
+        d = {column: getattr(self, column) for column in REPORT_COLUMNS}
         # strict-JSON-friendly sentinel for the degenerate drift case
-        if math.isinf(self.eta_bif_max):
-            d["eta_bif_max"] = "inf"
-        if math.isinf(self.eta_admissible):
-            d["eta_admissible"] = "inf"
+        for column in ("eta_bif_max", "eta_admissible"):
+            if math.isinf(d[column]):
+                d[column] = "inf"
         return d
 
 
-REPORT_COLUMNS = (
-    "body_name",
-    "alpha_lower",
-    "range_margin",
-    "nonempty_margin",
-    "eta_bif_max",
-    "eta_green_max",
-    "eta_admissible",
-    "certified",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(CertificationReport))
 
 
 def certify(body: Body) -> CertificationReport:
-    """Evaluate all conditions for one body."""
-    e, eps, nu = body.e, body.oblateness, body.nu
-    p, q = body.p, body.q
-    alpha_lower = alpha_lower_bound(2 * p // q, e)
-    r_margin = range_margin(e, eps, p, q)
-    n_margin = nonempty_margin(e, eps, p, q)
-    bif = eta_max(e, eps, nu, p, q)
+    """Evaluate all conditions for one body at eta = 0, in unhatted units."""
+    c = conditions(ResonanceParams.from_body(body))
+    q = body.q
+    bif = c.eta_hat_bif / q
     green = green_eta_cap(q)
-    admissible = min(bif, green)
-    certified = alpha_lower > 0.0 and r_margin > 0.0 and n_margin > 0.0 and admissible > 0.0
     return CertificationReport(
         body_name=body.name,
-        alpha_lower=alpha_lower,
-        range_margin=r_margin,
-        nonempty_margin=n_margin,
+        alpha_lower=c.alpha_lower,
+        range_margin=c.range / q**2,
+        nonempty_margin=c.nonempty / q**2,
         eta_bif_max=bif,
         eta_green_max=green,
-        eta_admissible=admissible,
-        certified=certified,
+        eta_admissible=min(bif, green),
+        certified=c.alpha_lower > 0.0 and not c.failed,
     )
 
 

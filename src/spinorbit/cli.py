@@ -10,7 +10,8 @@ Three subcommands:
   and remainder bound where available (j = 2, 3 inside their disks).
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, verify it by direct integration residuals,
-  and emit it as JSON.
+  and emit it as JSON.  Exit 1 when a condition fails at that eta, the
+  solve fails, or the orbit's equation residual exceeds 1e-9.
 
 The default catalog is the bundled one ('all' = 18 moons + Mercury); a
 file path or one of moons/mercury/minor/all may be given with --catalog or
@@ -38,6 +39,8 @@ from .potential import (
 )
 
 _FORMATS = ("csv", "json", "md")
+# documented bound on a returned orbit's equation residual
+_ORBIT_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -63,10 +66,19 @@ class RunConfig:
             raise ValueError("--nquad must be even and >= 64")
         if self.fourier_modes is not None and self.fourier_modes < 1:
             raise ValueError("--modes must be >= 1")
-        if self.tol_fixed_point <= 0 or self.tol_bifurcation <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.eta < 0:
-            raise ValueError("--eta must be >= 0")
+        for tol in (self.tol_fixed_point, self.tol_bifurcation):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("--eta must be finite and >= 0")
+        if self.extra.get("samples", 2) < 2:
+            raise ValueError("--samples must be >= 2")
+        if self.command == "fourier":
+            e, j_max = self.extra["e"], self.extra["j_max"]
+            if not 0.0 <= e < 1.0:
+                raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
+            if j_max < 1:
+                raise ValueError(f"--jmax must be >= 1, got {j_max}")
 
 
 def _resolve_catalog(selector: Optional[str]):
@@ -151,29 +163,9 @@ def _render_fourier(rows, fmt: str) -> str:
 
 
 def cmd_fourier(cfg: RunConfig) -> int:
-    e = cfg.extra["e"]
-    j_max = cfg.extra["j_max"]
-    if not 0.0 <= e < 1.0:
-        return _fail(f"eccentricity must satisfy 0 <= e < 1, got {e}", 2)
-    if j_max < 1:
-        return _fail(f"--jmax must be >= 1, got {j_max}", 2)
-    rows = _fourier_rows(e, j_max, cfg.quadrature_n)
+    rows = _fourier_rows(cfg.extra["e"], cfg.extra["j_max"], cfg.quadrature_n)
     _emit(_render_fourier(rows, cfg.output_format), cfg.out)
     return 0
-
-
-def _failing_condition(report, eta: float) -> str:
-    if report.alpha_lower <= 0.0:
-        return "coefficient lower bound not positive"
-    if report.range_margin <= 0.0:
-        return "range (contraction) condition"
-    if report.nonempty_margin <= 0.0:
-        return "non-empty (topological) condition"
-    if eta > report.eta_green_max:
-        return "Green-norm condition"
-    if eta > report.eta_bif_max:
-        return "bifurcation condition"
-    return "eta ceiling"
 
 
 def cmd_orbit(cfg: RunConfig) -> int:
@@ -187,14 +179,6 @@ def cmd_orbit(cfg: RunConfig) -> int:
         return _fail(f"unknown body {name!r}", 2)
     body = matches[0]
 
-    report = cert.certify(body)
-    if not report.certified or cfg.eta > report.eta_admissible:
-        return _fail(
-            f"{body.name} not certified at eta={cfg.eta}: "
-            f"{_failing_condition(report, cfg.eta)} fails",
-            1,
-        )
-
     params = cat.ResonanceParams.from_body(body, eta=cfg.eta)
     modes = cfg.fourier_modes or (64 if body.q == 1 else 128)
     try:
@@ -204,15 +188,24 @@ def cmd_orbit(cfg: RunConfig) -> int:
             tol_fixed_point=cfg.tol_fixed_point,
             tol_bifurcation=cfg.tol_bifurcation,
         )
-    except (solver.PreconditionError, solver.SolverError) as exc:
+    except solver.PreconditionError as exc:
+        return _fail(f"{body.name} not certified at eta={cfg.eta}: {exc}", 1)
+    except (solver.SolverError, solver.AliasingError) as exc:
         return _fail(str(exc), 1)
+    residual = dynamics.orbit_residual(orbit)
+    if not residual <= _ORBIT_TOLERANCE:
+        return _fail(
+            f"orbit residual {residual:.3e} exceeds the tolerance "
+            f"{_ORBIT_TOLERANCE:g}; raise --modes or tighten the solver tolerances",
+            1,
+        )
 
     payload = orbit.to_dict(n_samples=cfg.extra.get("samples", 256))
-    payload["orbit_residual"] = dynamics.orbit_residual(orbit)
+    payload["orbit_residual"] = residual
     payload["resonance_identity_residual"] = dynamics.check_resonance(
         orbit, body.p, body.q
     )
-    payload["certification"] = report.to_dict()
+    payload["certification"] = cert.certify(body).to_dict()
     _emit(json.dumps(payload, indent=1) + "\n", cfg.out)
     return 0
 
@@ -281,16 +274,12 @@ def main(argv=None) -> int:
         cfg.tol_fixed_point = args.tol_fixed_point
         cfg.tol_bifurcation = args.tol_bifurcation
         cfg.extra = {"body": args.body, "samples": args.samples}
-        if args.samples < 2:
-            return _fail("--samples must be >= 2", 2)
     try:
         cfg.validate()
     except ValueError as exc:
         return _fail(str(exc), 2)
 
     handler = {"certify": cmd_certify, "fourier": cmd_fourier, "orbit": cmd_orbit}
-    if not math.isfinite(cfg.eta):
-        return _fail("--eta must be finite", 2)
     return handler[cfg.command](cfg)
 
 

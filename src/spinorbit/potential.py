@@ -139,6 +139,18 @@ def _alpha_trapezoid(e, j, n_quad):
     return -0.5 * math.fsum(integrand) / n_quad
 
 
+def _doubling_checked(route, e, j, n_quad):
+    """route(e, j, n_quad), refused when 2*n_quad nodes move it by > 1e-10."""
+    value = route(e, j, n_quad)
+    refined = route(e, j, 2 * n_quad)
+    if abs(value - refined) > 1e-10:
+        raise QuadratureError(
+            f"alpha_{j}({e}): refinement moved by {abs(value - refined):.3e}; "
+            f"n_quad={n_quad} too small"
+        )
+    return value
+
+
 def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     """Coefficient alpha_j(e) by periodic-trapezoid quadrature.
 
@@ -158,14 +170,7 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
-    value = _alpha_trapezoid(e, j, n_quad)
-    refined = _alpha_trapezoid(e, j, 2 * n_quad)
-    if abs(value - refined) > 1e-10:
-        raise QuadratureError(
-            f"alpha_{j}({e}): refinement moved by {abs(value - refined):.3e}; "
-            f"n_quad={n_quad} too small"
-        )
-    return value
+    return _doubling_checked(_alpha_trapezoid, e, j, n_quad)
 
 
 def tidal_kernel(e, t, tol: float = 1e-13):
@@ -197,19 +202,23 @@ def _kernel_from_u(e, u):
     return -(z**4) / (2.0 * rho**3 * (a * a + b * b) ** 2)
 
 
+def _alpha_exponential(e, j, n_quad):
+    t = _quadrature_nodes(n_quad)
+    weights = tidal_kernel(e, t) * np.exp(-1j * j * t)
+    return complex(math.fsum(weights.real) / n_quad, math.fsum(weights.imag) / n_quad)
+
+
 def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> complex:
     """alpha_j(e) as the j-th Fourier coefficient of the complex kernel.
 
     Independent of :func:`fourier_coefficient`: integrates on the mean-
     anomaly grid (one Kepler solve per node) instead of the eccentric-
-    anomaly grid.  The imaginary part is a numerical-zero diagnostic.
+    anomaly grid.  The imaginary part is a numerical-zero diagnostic.  The
+    same doubled-node check raises QuadratureError on under-resolution.
     """
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
-    t = _quadrature_nodes(n_quad)
-    g = tidal_kernel(e, t)
-    weights = g * np.exp(-1j * j * t)
-    return complex(math.fsum(weights.real) / n_quad, math.fsum(weights.imag) / n_quad)
+    return _doubling_checked(_alpha_exponential, e, j, n_quad)
 
 
 def alpha_series(j: int, e: float) -> float:

@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ResonanceParams
-from .certification import GREEN_ETA_HAT_MAX, range_margin
+from .certification import GREEN_ETA_HAT_MAX, conditions
 from .kepler import anomalies
-from .potential import alpha_lower_bound, potential_fx
+from .potential import potential_fx
 
 __all__ = [
     "PeriodicFunction",
@@ -40,7 +40,6 @@ __all__ = [
     "phi_hat",
     "solve_range",
     "phi_mean",
-    "bifurcation_halfwidth",
     "solve_bifurcation",
 ]
 
@@ -274,17 +273,25 @@ class ResonantOrbit:
         return json.dumps(self.to_dict(n_samples), indent=1) + "\n"
 
 
-def _check_preconditions(params: ResonanceParams):
-    if params.eta_hat > GREEN_ETA_HAT_MAX:
-        raise PreconditionError(
-            f"eta_hat={params.eta_hat:.6g} violates the Green-norm condition "
-            f"(max {GREEN_ETA_HAT_MAX:.6g})"
-        )
-    margin = range_margin(params.e, params.eps, params.p, params.q)
-    if margin <= 0.0:
-        raise PreconditionError(
-            f"range (contraction) condition fails: margin {margin:.6g} <= 0"
-        )
+def _require(params: ResonanceParams, names):
+    """Raise PreconditionError naming the first of ``names`` that fails."""
+    c = conditions(params)
+    failed = [name for name in c.failed if name in names]
+    if not failed:
+        return
+    if failed[0] == "green":
+        message = (f"eta_hat={params.eta_hat:.6g} violates the Green-norm "
+                   f"condition (max {GREEN_ETA_HAT_MAX:.6g})")
+    elif failed[0] == "range":
+        message = f"range (contraction) condition fails: margin {c.range:.6g} <= 0"
+    elif failed[0] == "nonempty":
+        message = (f"non-empty (topological) condition fails: margin "
+                   f"{c.nonempty:.6g} <= 0")
+    else:
+        message = (f"bifurcation condition fails: eta_hat={params.eta_hat:.6g}, "
+                   f"ceiling {c.eta_hat_bif:.6g} from the certified "
+                   f"phase-equation half-width {c.halfwidth:.6g}")
+    raise PreconditionError(message)
 
 
 def _solve_range_ws(xi, params, order, tol, ws, max_iter, initial=None):
@@ -339,7 +346,7 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
     point is unique in its ball, so the starting iterate only affects the
     step count.
     """
-    _check_preconditions(params)
+    _require(params, ("green", "range"))
     n = _collocation_size(N, n_coll)
     ws = _Workspace(params, n)
     sol, _ = _solve_range_ws(xi, params, N, tol, ws, max_iter, initial=initial)
@@ -349,18 +356,11 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
 def phi_mean(xi: float, params: ResonanceParams, N: int = 64,
              tol: float = 1e-12, n_coll: Optional[int] = None) -> float:
     """Average of V_x(xi + p t + u(t; xi), q t) at the solved fixed point."""
-    _check_preconditions(params)
+    _require(params, ("green", "range"))
     n = _collocation_size(N, n_coll)
     ws = _Workspace(params, n)
     _, phi = _solve_range_ws(xi, params, N, tol, ws, _RANGE_ITERATION_CAP)
     return phi
-
-
-def bifurcation_halfwidth(params: ResonanceParams) -> float:
-    """Guaranteed half-width of the range of phi:
-    2 |alpha_j|_lower - eps_hat * 5/(1-e)^6."""
-    m1 = 5.0 / (1.0 - params.e) ** 6
-    return 2.0 * alpha_lower_bound(params.harmonic, params.e) - params.eps_hat * m1
 
 
 def solve_bifurcation(params: ResonanceParams, N: int = 64,
@@ -374,18 +374,14 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
     extremizers of the leading term of phi, where the certified range of
     phi contains the target.  A coarse scan over [0, 2*pi) records every
     sign-change bracket for diagnostics (existence, not uniqueness, is
-    guaranteed, so several roots may coexist).
+    guaranteed, so several roots may coexist).  Raises PreconditionError
+    unless eps > 0 and all four conditions hold at ``params``; these are
+    the conditions ``certify`` reads, so every certified eta is accepted.
     """
-    _check_preconditions(params)
-    if params.eps_hat == 0.0:
-        raise PreconditionError("eps = 0: the phase equation is undefined")
+    if not params.eps > 0.0:
+        raise PreconditionError(f"eps={params.eps}: the phase equation needs eps > 0")
+    _require(params, ("green", "range", "nonempty", "bifurcation"))
     target = params.eta_hat * params.nu_hat / params.eps_hat
-    halfwidth = bifurcation_halfwidth(params)
-    if abs(target) > halfwidth:
-        raise PreconditionError(
-            f"|eta_hat nu_hat / eps_hat| = {abs(target):.6g} exceeds the "
-            f"certified phase-equation half-width {halfwidth:.6g}"
-        )
 
     n = _collocation_size(N, n_coll)
     ws = _Workspace(params, n)

@@ -127,6 +127,16 @@ def test_duplicate_names_rejected():
         load_catalog(text)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["a_km", "b_km", "c_km", "e", "rigidity"])
+def test_body_rejects_non_finite(field, value):
+    fields = dict(name="X", primary="Y", a_km=2.0, b_km=1.0, c_km=1.0, e=0.1,
+                  p=1, q=1, rigidity=1.0)
+    fields[field] = value
+    with pytest.raises(CatalogError, match=f"{field}=.* is not finite"):
+        Body(**fields)
+
+
 def test_body_invariants():
     with pytest.raises(CatalogError):
         Body("X", "Y", 2.0, 1.0, 1.0, 0.1, 2, 4, None)  # not co-prime

@@ -7,16 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorbit.catalog import bundled_catalog
+from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.certification import (
     GREEN_ETA_HAT_MAX,
     certify,
     certify_catalog,
-    eta_max,
+    conditions,
     green_eta_cap,
     green_norm_bound,
-    nonempty_margin,
-    range_margin,
     reports_to_csv,
     reports_to_json,
     reports_to_markdown,
@@ -52,30 +50,39 @@ def test_green_eta_caps_printed_digits():
     assert 0.0041 <= green_eta_cap(2) < 0.0042
 
 
+def hatted(e, eps, p, q, nu=None):
+    """conditions() at eta = 0 and the given unhatted parameters (nu
+    defaults to p/q)."""
+    return conditions(ResonanceParams(p=p, q=q, e=e, eps=eps, eta=0.0,
+                                      nu=p / q if nu is None else nu))
+
+
 def test_range_margin_limits():
-    assert range_margin(0.0, 0.0, 1, 1) == pytest.approx(0.2, rel=1e-15)
-    assert range_margin(0.0, 0.2, 1, 1) == pytest.approx(0.0, abs=1e-15)
-    assert range_margin(0.0, 0.0, 3, 2) == pytest.approx(0.05, rel=1e-15)
+    assert hatted(0.0, 0.0, 1, 1).range == pytest.approx(0.2, rel=1e-15)
+    assert hatted(0.0, 0.2, 1, 1).range == pytest.approx(0.0, abs=1e-15)
+    # unhatted margin = hatted margin / q^2
+    assert hatted(0.0, 0.0, 3, 2).range / 4 == pytest.approx(0.05, rel=1e-15)
     with pytest.raises(ValueError):
-        range_margin(0.0, 0.0, 2, 1)
+        hatted(0.0, 0.0, 2, 1)
 
 
 def test_nonempty_margin_limits():
-    assert nonempty_margin(0.0, 0.0, 1, 1) == pytest.approx(0.2, rel=1e-15)
+    assert hatted(0.0, 0.0, 1, 1).nonempty == pytest.approx(0.2, rel=1e-15)
     # the 3:2 coefficient vanishes at e = 0: no certificate for any eps > 0
-    assert nonempty_margin(0.0, 0.01, 3, 2) == pytest.approx(-0.01, rel=1e-12)
+    assert hatted(0.0, 0.01, 3, 2).nonempty / 4 == pytest.approx(-0.01, rel=1e-12)
 
 
 def test_eta_max_degenerate_cases():
-    assert eta_max(0.0, 0.0, 1.5, 1, 1) == 0.0          # eps = 0
-    assert eta_max(0.0, 0.2, 1.5, 1, 1) == 0.0          # vanishing bracket
-    assert math.isinf(eta_max(0.0, 0.1, 1.0, 1, 1))     # q nu - p = 0 sentinel
+    assert hatted(0.0, 0.0, 1, 1, nu=1.5).eta_hat_bif == 0.0       # eps = 0
+    assert hatted(0.0, 0.2, 1, 1, nu=1.5).eta_hat_bif == 0.0       # vanishing bracket
+    assert math.isinf(hatted(0.0, 0.1, 1, 1, nu=1.0).eta_hat_bif)  # q nu - p = 0 sentinel
 
 
 def test_margins_monotone_decreasing_in_eps():
     for eps_lo, eps_hi in ((0.0, 0.05), (0.05, 0.1)):
-        assert range_margin(0.1, eps_hi, 1, 1) < range_margin(0.1, eps_lo, 1, 1)
-        assert nonempty_margin(0.1, eps_hi, 1, 1) < nonempty_margin(0.1, eps_lo, 1, 1)
+        lo, hi = hatted(0.1, eps_lo, 1, 1), hatted(0.1, eps_hi, 1, 1)
+        assert hi.range < lo.range
+        assert hi.nonempty < lo.nonempty
 
 
 def test_moon_row_matches_frozen_table():

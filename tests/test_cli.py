@@ -138,6 +138,34 @@ def test_orbit_uncertified_body_refused(capsys):
     assert "range" in err
 
 
+def test_orbit_at_bifurcation_ceiling_accepted(capsys, tmp_path):
+    # eta_admissible of this row comes from the bifurcation condition; the
+    # orbit command must accept exactly the eta that certify reports
+    row = tmp_path / "row.csv"
+    row.write_text("name,primary,a_km,b_km,c_km,e,p,q\n"
+                   "Test,P,100.0,99.6779,99.6779,0.0567,3,2\n")
+    code, out, _ = run_cli(capsys, "certify", "--catalog", str(row), "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["eta_admissible"] == 0.0006007460216792887
+    assert report["eta_bif_max"] < report["eta_green_max"]
+    code, out, _ = run_cli(capsys, "orbit", "Test", "--catalog", str(row),
+                           "--eta", "0.0006007460216792887")
+    assert code == 0
+    assert json.loads(out)["orbit_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("Mercury", "--modes", "4"),            # residual 2.1e-4: truncation too low
+    ("Moon", "--tol-fixed-point", "1"),     # residual 5.2e-8: one iteration only
+])
+def test_orbit_residual_over_tolerance_refused(capsys, argv):
+    code, out, err = run_cli(capsys, "orbit", *argv)
+    assert code == 1
+    assert out == ""
+    assert "orbit residual" in err and "1e-09" in err and "--modes" in err
+
+
 def test_orbit_unknown_body_exit_two(capsys):
     code, _, err = run_cli(capsys, "orbit", "Vulcan")
     assert code == 2
@@ -155,6 +183,11 @@ def test_orbit_writes_file(capsys, tmp_path):
 def test_invalid_flag_values_exit_two(capsys):
     assert run_cli(capsys, "fourier", "0.1", "--nquad", "63")[0] == 2
     assert run_cli(capsys, "orbit", "Moon", "--eta", "-1")[0] == 2
+    assert run_cli(capsys, "orbit", "Moon", "--eta", "nan")[0] == 2
+    assert run_cli(capsys, "orbit", "Moon", "--eta", "inf")[0] == 2
+    for flag in ("--tol-fixed-point", "--tol-bifurcation"):
+        for value in ("nan", "inf", "0"):
+            assert run_cli(capsys, "orbit", "Moon", flag, value)[0] == 2
 
 
 def test_console_entry_point():

@@ -99,6 +99,13 @@ def test_fourier_doubling_check_flags_coarse_grids():
         fourier_coefficient(0.95, 2, n_quad=64)
 
 
+def test_exponential_doubling_check_flags_coarse_grids():
+    # at e = 0.99 the mean-anomaly grid of 8192 nodes returns -3.70 for
+    # alpha_1 = 0.2480; the doubled grid moves it by ~3.9
+    with pytest.raises(QuadratureError):
+        fourier_coefficient_exponential(0.99, 1, 8192)
+
+
 def test_alpha_series_values():
     assert alpha_series(2, 0.0) == pytest.approx(-0.5, abs=0.0)
     assert alpha_series(3, 0.0) == pytest.approx(0.0, abs=0.0)

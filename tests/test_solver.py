@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from spinorbit.catalog import ResonanceParams, bundled_catalog
-from spinorbit.certification import green_norm_bound
+from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
+from spinorbit.certification import certify, conditions, green_norm_bound
 from spinorbit.potential import fourier_coefficient, fx_sup_bound, fxx_sup_bound
 from spinorbit.solver import (
     AliasingError,
     PeriodicFunction,
     PreconditionError,
-    bifurcation_halfwidth,
     green_apply,
     phi_hat,
     phi_mean,
@@ -309,10 +308,41 @@ def test_bifurcation_at_boundary_target():
     cap = certify(merc).eta_admissible
     params = mercury_params(eta=cap)
     assert abs(params.eta_hat * params.nu_hat / params.eps_hat) == pytest.approx(
-        bifurcation_halfwidth(params), rel=1e-12
+        conditions(params).halfwidth, rel=1e-12
     )
     orbit = solve_bifurcation(params, N=128, scan_points=0)
     assert orbit.bifurcation_residual <= 1e-10
+
+
+def test_solver_accepts_exactly_the_certified_etas():
+    # for in-disk bodies with eps > 0, solve_bifurcation accepts params iff
+    # certify says certified and eta <= eta_admissible, the ceiling included
+    rng = np.random.default_rng(2)
+    bodies = [Body("Test", "P", 100.0, 99.6779, 99.6779, 0.0567, 3, 2)]
+    for i in range(32):
+        p, q = ((1, 1), (3, 2))[i % 2]
+        e = float(rng.uniform(0.0, 0.085 if q == 1 else 0.215))
+        b = 100.0 * (1.0 - 10.0 ** rng.uniform(-6.0, -0.5))
+        bodies.append(Body(f"R{i}", "P", 100.0, b, b, e, p, q))
+    certified = binding = 0
+    for body in bodies:
+        rep = certify(body)
+        certified += rep.certified
+        binding += rep.certified and rep.eta_bif_max < rep.eta_green_max
+        cap = rep.eta_admissible
+        for eta in (0.0, cap, math.nextafter(cap, math.inf), 2.0 * cap):
+            params = ResonanceParams.from_body(body, eta=eta)
+            try:
+                orbit = solve_bifurcation(params, N=64 if body.q == 1 else 128,
+                                          scan_points=0)
+            except PreconditionError:
+                accepted = False
+            else:
+                accepted = True
+                assert orbit.bifurcation_residual <= 1e-10
+            assert accepted == (rep.certified and eta <= cap), (body, eta)
+    # both verdicts occur, and the bifurcation ceiling binds on several rows
+    assert 0 < certified < len(bodies) and binding >= 4
 
 
 def test_bifurcation_refuses_oversized_target():
