@@ -8,6 +8,7 @@ Three subcommands:
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks).
+  Exit 1 when --nquad nodes do not resolve a coefficient.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, verify it by direct integration residuals,
   and emit it as JSON.  Exit 1 when a condition fails at that eta, the
@@ -32,6 +33,7 @@ from . import dynamics, solver
 from .potential import (
     CANONICAL_B,
     CANONICAL_ORDER,
+    QuadratureError,
     alpha_series,
     canonical_disk,
     fourier_coefficient,
@@ -163,7 +165,10 @@ def _render_fourier(rows, fmt: str) -> str:
 
 
 def cmd_fourier(cfg: RunConfig) -> int:
-    rows = _fourier_rows(cfg.extra["e"], cfg.extra["j_max"], cfg.quadrature_n)
+    try:
+        rows = _fourier_rows(cfg.extra["e"], cfg.extra["j_max"], cfg.quadrature_n)
+    except QuadratureError as exc:
+        return _fail(f"{exc}; raise --nquad", 1)
     _emit(_render_fourier(rows, cfg.output_format), cfg.out)
     return 0
 

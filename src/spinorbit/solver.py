@@ -12,7 +12,7 @@ and a scalar ("bifurcation") equation
     phi(xi) := <V_x(xi + p t + u(t; xi), q t)> = eta_hat nu_hat / eps_hat
 
 for the phase xi, solved by bisection on a bracket around the extremizers
-of the leading term -2 alpha_j sin(2 xi).
+of the leading term -2 alpha_j sin(2 xi); phases are solved in batches.
 
 All operations are pure; a solve is deterministic for fixed inputs.
 """
@@ -30,17 +30,9 @@ from .kepler import anomalies
 from .potential import potential_fx
 
 __all__ = [
-    "PeriodicFunction",
-    "RangeSolution",
-    "ResonantOrbit",
-    "SolverError",
-    "PreconditionError",
-    "AliasingError",
-    "green_apply",
-    "phi_hat",
-    "solve_range",
-    "phi_mean",
-    "solve_bifurcation",
+    "PeriodicFunction", "RangeSolution", "ResonantOrbit",
+    "SolverError", "PreconditionError", "AliasingError",
+    "green_apply", "phi_hat", "solve_range", "phi_mean", "solve_bifurcation",
 ]
 
 _RANGE_ITERATION_CAP = 2000
@@ -103,9 +95,7 @@ class PeriodicFunction:
         """Values at n uniform nodes on [0, 2*pi); exact for n >= 2N+2."""
         if n < 2 * self.order + 2:
             raise ValueError(f"need n >= {2 * self.order + 2} to represent order {self.order}")
-        spectrum = np.zeros(n // 2 + 1, dtype=complex)
-        spectrum[1 : self.order + 1] = self.coefficients[1:] * n
-        return np.fft.irfft(spectrum, n)
+        return _synthesize(self.coefficients, n)
 
     def evaluate(self, t):
         """Pointwise evaluation at arbitrary (scalar or array) t."""
@@ -136,62 +126,71 @@ class PeriodicFunction:
         return PeriodicFunction(c)
 
 
+def _synthesize(coefficients, n: int):
+    """Values at n uniform nodes of each row of modes 0..N (mode 0 ignored)."""
+    spectrum = np.zeros(coefficients.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum[..., 1 : coefficients.shape[-1]] = coefficients[..., 1:] * n
+    return np.fft.irfft(spectrum, n)
+
+
+def _green_multiplier(order: int, eta_hat: float):
+    """1 / (-k^2 + i eta_hat k) for modes k = 0..order, with 0 at k = 0."""
+    if eta_hat < 0.0:
+        raise ValueError(f"eta_hat must be >= 0, got {eta_hat}")
+    k = np.arange(1, order + 1, dtype=float)
+    return np.concatenate(([0.0], 1.0 / (-(k**2) + 1j * eta_hat * k)))
+
+
 def green_apply(g: PeriodicFunction, eta_hat: float) -> PeriodicFunction:
     """Invert u'' + eta_hat u' = g on zero-average functions.
 
     Fourier multiplier u_k = g_k / (-k^2 + i eta_hat k) for k != 0; the
     zero mode is absent by the PeriodicFunction invariant.
     """
-    if eta_hat < 0.0:
-        raise ValueError(f"eta_hat must be >= 0, got {eta_hat}")
-    k = np.arange(len(g.coefficients), dtype=float)
-    multiplier = np.zeros(len(k), dtype=complex)
-    multiplier[1:] = 1.0 / (-(k[1:] ** 2) + 1j * eta_hat * k[1:])
-    return PeriodicFunction(g.coefficients * multiplier)
+    return PeriodicFunction(g.coefficients * _green_multiplier(g.order, eta_hat))
 
 
 class _Workspace:
     """Cached orbit geometry on the collocation grid (fixed e, q, n)."""
 
     def __init__(self, params: ResonanceParams, n: int):
-        self.params = params
         self.n = n
-        self.t = 2.0 * np.pi * np.arange(n) / n
-        _, rho, f = anomalies(params.e, params.q * self.t)
+        t = 2.0 * np.pi * np.arange(n) / n
+        self.pt = params.p * t
+        _, rho, f = anomalies(params.e, params.q * t)
         self.two_f = 2.0 * f
         self.inv_rho3 = 1.0 / rho**3
 
-    def neg_fx_samples(self, xi: float, u_samples) -> np.ndarray:
-        x = xi + self.params.p * self.t + u_samples
+    def neg_fx_samples(self, xi, u_samples) -> np.ndarray:
+        x = xi + self.pt + u_samples
         return -np.sin(2.0 * x - self.two_f) * self.inv_rho3
 
 
 def _project(samples, order: int):
-    """Zero-mean spectral projection plus aliasing check.
+    """Zero-mean spectral projection of each row plus aliasing check.
 
-    Returns (PeriodicFunction of the given order, removed mean).  Raises
-    AliasingError when the top third of the resolved band holds more than
-    1e-8 of the total oscillatory energy.
+    Returns (modes 0..order with mode 0 zeroed, removed means).  Raises
+    AliasingError when, in any row, the top third of the resolved band
+    holds more than 1e-8 of the total oscillatory energy.
     """
-    n = len(samples)
-    spectrum = np.fft.rfft(np.asarray(samples, dtype=float)) / n
-    mean = float(spectrum[0].real)
-    energy = np.abs(spectrum[1:]) ** 2
-    cutoff = int(math.ceil(2.0 * len(energy) / 3.0))
+    n = samples.shape[-1]
+    spectrum = np.fft.rfft(samples) / n
+    mean = spectrum[..., 0].real.copy()
+    energy = np.abs(spectrum[..., 1:]) ** 2
+    cutoff = int(math.ceil(2.0 * energy.shape[-1] / 3.0))
     # reference power includes the mean so that rounding noise riding on a
     # constant signal does not masquerade as aliasing; signals below the
     # double-precision noise floor are treated as resolved
-    total = float(np.sum(energy)) + mean * mean
-    top = float(np.sum(energy[cutoff:]))
-    if top > 1e-8 * total and total > 1e-20:
-        raise AliasingError(
-            f"unresolved collocation spectrum (top-band energy fraction "
-            f"{top / total:.2e} of the signal power); increase the "
-            f"truncation order"
-        )
-    c = np.zeros(order + 1, dtype=complex)
-    c[1:] = spectrum[1 : order + 1]
-    return PeriodicFunction(c), mean
+    total = np.sum(energy, axis=-1) + mean * mean
+    top = np.sum(energy[..., cutoff:], axis=-1)
+    aliased = np.flatnonzero((top > 1e-8 * total) & (total > 1e-20))
+    if len(aliased):
+        fraction = np.ravel(top)[aliased[0]] / np.ravel(total)[aliased[0]]
+        raise AliasingError(f"unresolved collocation spectrum (top-band energy fraction "
+                            f"{fraction:.2e} of the signal power); increase the truncation order")
+    c = spectrum[..., : order + 1]
+    c[..., 0] = 0.0
+    return c, mean
 
 
 def _collocation_size(order: int, n_coll: Optional[int]) -> int:
@@ -212,7 +211,8 @@ def phi_hat(xi: float, u: PeriodicFunction, params: ResonanceParams,
     n = _collocation_size(u.order, n_coll)
     t = 2.0 * np.pi * np.arange(n) / n
     values = -potential_fx(params.e, xi + params.p * t + u.samples(n), params.q * t)
-    return _project(values, u.order)
+    c, mean = _project(values, u.order)
+    return PeriodicFunction(c), float(mean)
 
 
 @dataclass(frozen=True)
@@ -294,44 +294,41 @@ def _require(params: ResonanceParams, names):
     raise PreconditionError(message)
 
 
-def _solve_range_ws(xi, params, order, tol, ws, max_iter, initial=None):
-    eps_hat, eta_hat = params.eps_hat, params.eta_hat
-    if initial is None:
-        u = PeriodicFunction.zero(order)
-        u_samples = np.zeros(ws.n)
-    else:
-        u = initial
-        u_samples = initial.samples(ws.n)
-    increments = []
-    phi_value = None
+def _fixed_points(xis, params, order, tol, ws, max_iter, initial=None):
+    """Fixed points u(.; xi) of the contraction at every phase of ``xis``.
+
+    Iterates an (m, n) matrix of samples, one row per phase, from u = 0 (or
+    ``initial``); only the rows still moving are transformed, and a row is
+    frozen once its sup-norm increment is <= tol.  A row's arithmetic is
+    that of a lone solve, so batching changes no bit.  Returns the modes
+    0..order (m, order+1), the samples (m, n), phi and the increments.
+    """
+    xis = np.asarray(xis, dtype=float)
+    multiplier = _green_multiplier(order, params.eta_hat)
+    start = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
+    samples = np.tile(start, (len(xis), 1))
+    coefficients = np.zeros((len(xis), order + 1), dtype=complex)
+    increments = [[] for _ in xis]
+    active = np.arange(len(xis))
     for _ in range(max_iter):
-        neg_fx = ws.neg_fx_samples(xi, u_samples)
-        rhs, mean = _project(neg_fx, order)
-        phi_value = -mean
-        new_u = green_apply(rhs, eta_hat) * eps_hat
-        new_samples = new_u.samples(ws.n)
-        increment = float(np.max(np.abs(new_samples - u_samples)))
-        increments.append(increment)
-        u, u_samples = new_u, new_samples
-        if increment <= tol:
+        old = samples[active]
+        rhs, _ = _project(ws.neg_fx_samples(xis[active, None], old), order)
+        coefficients[active] = c = (rhs * multiplier) * params.eps_hat
+        samples[active] = new = _synthesize(c, ws.n)
+        step = np.max(np.abs(new - old), axis=-1)
+        for row, value in zip(active.tolist(), step.tolist()):
+            increments[row].append(value)
+        active = active[~(step <= tol)]
+        if not len(active):
             break
     else:
-        raise SolverError(
-            f"fixed-point iteration cap {max_iter} reached at xi={xi:.6g} "
-            f"(last increment {increments[-1]:.3e}); check N and tol"
-        )
+        row = active[0]
+        raise SolverError(f"fixed-point iteration cap {max_iter} reached at xi={xis[row]:.6g} "
+                          f"(last increment {increments[row][-1]:.3e}); check N and tol")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    final_neg_fx = ws.neg_fx_samples(xi, u_samples)
-    phi_value = -float(math.fsum(final_neg_fx) / ws.n)
-    sol = RangeSolution(
-        xi=xi,
-        u=u,
-        sup_norm=float(np.max(np.abs(u_samples))),
-        iterations=len(increments),
-        increments=tuple(increments),
-    )
-    return sol, phi_value
+    final = ws.neg_fx_samples(xis[:, None], samples).tolist()
+    return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], increments
 
 
 def solve_range(xi: float, params: ResonanceParams, N: int = 64,
@@ -347,20 +344,20 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
     step count.
     """
     _require(params, ("green", "range"))
-    n = _collocation_size(N, n_coll)
-    ws = _Workspace(params, n)
-    sol, _ = _solve_range_ws(xi, params, N, tol, ws, max_iter, initial=initial)
-    return sol
+    ws = _Workspace(params, _collocation_size(N, n_coll))
+    coefficients, samples, _, increments = _fixed_points(
+        [xi], params, N, tol, ws, max_iter, initial)
+    return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
+                         sup_norm=float(np.max(np.abs(samples[0]))),
+                         iterations=len(increments[0]), increments=tuple(increments[0]))
 
 
 def phi_mean(xi: float, params: ResonanceParams, N: int = 64,
              tol: float = 1e-12, n_coll: Optional[int] = None) -> float:
     """Average of V_x(xi + p t + u(t; xi), q t) at the solved fixed point."""
     _require(params, ("green", "range"))
-    n = _collocation_size(N, n_coll)
-    ws = _Workspace(params, n)
-    _, phi = _solve_range_ws(xi, params, N, tol, ws, _RANGE_ITERATION_CAP)
-    return phi
+    ws = _Workspace(params, _collocation_size(N, n_coll))
+    return _fixed_points([xi], params, N, tol, ws, _RANGE_ITERATION_CAP)[2][0]
 
 
 def solve_bifurcation(params: ResonanceParams, N: int = 64,
@@ -383,31 +380,29 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
     _require(params, ("green", "range", "nonempty", "bifurcation"))
     target = params.eta_hat * params.nu_hat / params.eps_hat
 
-    n = _collocation_size(N, n_coll)
-    ws = _Workspace(params, n)
+    ws = _Workspace(params, _collocation_size(N, n_coll))
     cache = {}
 
-    def phi_tilde(xi):
-        if xi not in cache:
-            sol, phi = _solve_range_ws(xi, params, N, tol_fixed_point, ws,
-                                       _RANGE_ITERATION_CAP)
-            cache[xi] = (sol, phi - target)
-        return cache[xi][1]
+    def phi_tilde(phases):
+        new = [xi for xi in dict.fromkeys(phases) if xi not in cache]
+        if new:
+            coefficients, _, phi, _ = _fixed_points(
+                new, params, N, tol_fixed_point, ws, _RANGE_ITERATION_CAP)
+            cache.update((xi, (c, f - target))
+                         for xi, c, f in zip(new, coefficients, phi))
+        return [cache[xi][1] for xi in phases]
 
-    # diagnostic scan: all sign changes of phi - target on a coarse grid
-    sign_changes = []
-    if scan_points:
-        grid = 2.0 * np.pi * np.arange(scan_points) / scan_points
-        vals = [phi_tilde(float(g)) for g in grid]
-        for i in range(scan_points):
-            a, b = vals[i], vals[(i + 1) % scan_points]
-            if a == 0.0 or (a < 0.0) != (b < 0.0):
-                sign_changes.append(
-                    (float(grid[i]), float(grid[(i + 1) % scan_points]))
-                )
-
+    # diagnostic scan: all sign changes of phi - target on a coarse grid,
+    # solved in one batch with the bracket endpoints
     lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
-    f_lo, f_hi = phi_tilde(lo), phi_tilde(hi)
+    grid = (2.0 * np.pi * np.arange(scan_points) / scan_points).tolist()
+    *vals, f_lo, f_hi = phi_tilde(grid + [lo, hi])
+    sign_changes = []
+    for i in range(scan_points):
+        a, b = vals[i], vals[(i + 1) % scan_points]
+        if a == 0.0 or (a < 0.0) != (b < 0.0):
+            sign_changes.append((grid[i], grid[(i + 1) % scan_points]))
+
     if abs(f_lo) <= tol_bifurcation:
         root = lo
     elif abs(f_hi) <= tol_bifurcation:
@@ -418,10 +413,9 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
             f"({f_lo:.3e}, {f_hi:.3e}) at (pi/4, 3pi/4)"
         )
     else:
-        root = None
         for _ in range(_BISECTION_CAP):
             mid = 0.5 * (lo + hi)
-            f_mid = phi_tilde(mid)
+            (f_mid,) = phi_tilde([mid])
             if abs(f_mid) <= tol_bifurcation:
                 root = mid
                 break
@@ -434,17 +428,18 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
                     f"bisection stagnated at width {hi - lo:.3e} with "
                     f"residual {f_mid:.3e} > {tol_bifurcation:.1e}"
                 )
-        if root is None:
+        else:
             raise SolverError("bisection iteration cap reached")
 
-    sol, residual = cache[root]
+    coefficients, residual = cache[root]
+    u = PeriodicFunction(coefficients)
     # the time-average normalization (mean of x(q t) - p t) coincides with
     # the bisection root because u has zero average by construction
-    xi_average = root + float(np.mean(sol.u.samples(n)))
+    xi_average = root + float(np.mean(u.samples(ws.n)))
     return ResonantOrbit(
         params=params,
         xi_star=root,
-        u=sol.u,
+        u=u,
         bifurcation_residual=abs(residual),
         sign_changes=tuple(sign_changes),
         xi_average=xi_average,

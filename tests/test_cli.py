@@ -104,6 +104,14 @@ def test_fourier_mercury_cross_check(capsys):
     assert abs(row3["alpha_quadrature"] - row3["alpha_series"]) <= row3["remainder_bound"]
 
 
+def test_fourier_unresolved_quadrature_refused(capsys):
+    # 64 nodes do not resolve alpha_j at e = 0.95: refused, not a traceback
+    code, out, err = run_cli(capsys, "fourier", "0.95", "--nquad", "64")
+    assert code == 1
+    assert out == ""
+    assert "--nquad" in err and "n_quad=64" in err
+
+
 def test_fourier_invalid_eccentricity_exit_two(capsys):
     code, _, err = run_cli(capsys, "fourier", "1.5")
     assert code == 2

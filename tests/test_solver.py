@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions, green_norm_bound
 from spinorbit.potential import fourier_coefficient, fx_sup_bound, fxx_sup_bound
@@ -12,6 +13,7 @@ from spinorbit.solver import (
     AliasingError,
     PeriodicFunction,
     PreconditionError,
+    SolverError,
     green_apply,
     phi_hat,
     phi_mean,
@@ -371,3 +373,130 @@ def test_orbit_export_round_trip():
     coeffs = np.array([complex(re, im) for re, im in payload["u_coefficients"]])
     assert np.allclose(coeffs, orbit.u.coefficients)
     assert len(payload["x"]) == 32
+
+
+# ------------------------------------- batched kernel against per-phase solves
+#
+# Reference: the scalar solver as it was before the phases were batched --
+# one fixed-point loop per phase on PeriodicFunction values, driven by the
+# same scan and bisection.  solve_bifurcation must reproduce it bit for bit.
+
+
+def _project_reference(samples, order):
+    n = len(samples)
+    spectrum = np.fft.rfft(np.asarray(samples, dtype=float)) / n
+    mean = float(spectrum[0].real)
+    energy = np.abs(spectrum[1:]) ** 2
+    cutoff = int(math.ceil(2.0 * len(energy) / 3.0))
+    total = float(np.sum(energy)) + mean * mean
+    top = float(np.sum(energy[cutoff:]))
+    if top > 1e-8 * total and total > 1e-20:
+        raise AliasingError("unresolved collocation spectrum")
+    c = np.zeros(order + 1, dtype=complex)
+    c[1:] = spectrum[1 : order + 1]
+    return PeriodicFunction(c), mean
+
+
+def _solve_range_reference(xi, params, order, tol, ws, max_iter):
+    eps_hat, eta_hat = params.eps_hat, params.eta_hat
+    u = PeriodicFunction.zero(order)
+    u_samples = np.zeros(ws.n)
+    for _ in range(max_iter):
+        rhs, _ = _project_reference(ws.neg_fx_samples(xi, u_samples), order)
+        new_u = green_apply(rhs, eta_hat) * eps_hat
+        new_samples = new_u.samples(ws.n)
+        increment = float(np.max(np.abs(new_samples - u_samples)))
+        u, u_samples = new_u, new_samples
+        if increment <= tol:
+            break
+    else:
+        raise SolverError("fixed-point iteration cap reached")
+    return u, -float(math.fsum(ws.neg_fx_samples(xi, u_samples)) / ws.n)
+
+
+def _bifurcation_reference(params, N, scan_points=64, tol_fixed_point=1e-12,
+                           tol_bifurcation=1e-10):
+    """(xi_star, u, residual, sign_changes, xi_average, phi by phase)."""
+    target = params.eta_hat * params.nu_hat / params.eps_hat
+    ws = solver._Workspace(params, max(4 * N, 256))
+    cache = {}
+
+    def phi_tilde(xi):
+        if xi not in cache:
+            u, phi = _solve_range_reference(xi, params, N, tol_fixed_point, ws, 2000)
+            cache[xi] = (u, phi)
+        return cache[xi][1] - target
+
+    grid = 2.0 * np.pi * np.arange(scan_points) / scan_points
+    vals = [phi_tilde(float(g)) for g in grid]
+    sign_changes = tuple(
+        (float(grid[i]), float(grid[(i + 1) % scan_points]))
+        for i in range(scan_points)
+        if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[(i + 1) % scan_points] < 0.0)
+    )
+    lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
+    f_lo, f_hi = phi_tilde(lo), phi_tilde(hi)
+    if abs(f_lo) <= tol_bifurcation:
+        root = lo
+    elif abs(f_hi) <= tol_bifurcation:
+        root = hi
+    else:
+        assert f_lo > 0.0 > f_hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            f_mid = phi_tilde(mid)
+            if abs(f_mid) <= tol_bifurcation:
+                root = mid
+                break
+            lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
+        else:
+            pytest.fail("reference bisection did not converge")
+    u, phi = cache[root]
+    xi_average = root + float(np.mean(u.samples(ws.n)))
+    phis = {xi: value for xi, (_, value) in cache.items()}
+    return root, u, abs(phi - target), sign_changes, xi_average, phis
+
+
+def test_batched_solve_matches_per_phase_reference(monkeypatch):
+    bodies = [b for b in bundled_catalog("all") + bundled_catalog("minor")
+              if certify(b).certified]
+    assert len(bodies) == 21
+    grid = (2.0 * np.pi * np.arange(64) / 64).tolist()
+    kernel = solver._fixed_points
+    seen = {}
+
+    def recording_kernel(xis, *args, **kwargs):
+        result = kernel(xis, *args, **kwargs)
+        seen.update(zip(list(xis), result[2]))
+        return result
+
+    monkeypatch.setattr(solver, "_fixed_points", recording_kernel)
+    for body in bodies:
+        cap = certify(body).eta_admissible
+        modes = 64 if body.q == 1 else 128
+        for eta in (0.0, 0.5 * cap, cap):
+            params = ResonanceParams.from_body(body, eta=eta)
+            seen.clear()
+            orbit = solve_bifurcation(params, N=modes)
+            root, u, residual, sign_changes, xi_average, phis = _bifurcation_reference(
+                params, modes)
+            case = (body.name, eta)
+            assert orbit.xi_star == root, case
+            assert orbit.sign_changes == sign_changes, case
+            assert np.array_equal(orbit.u.coefficients, u.coefficients), case
+            assert orbit.bifurcation_residual == residual, case
+            assert orbit.xi_average == xi_average, case
+            # every phase solved, the 64 scan phases included, gives the same phi
+            assert set(grid) <= set(seen) and set(seen) == set(phis), case
+            assert all(seen[xi] == phis[xi] for xi in phis), case
+
+
+def test_batched_scan_refuses_unresolved_spectrum():
+    for scan_points in (64, 0):
+        with pytest.raises(AliasingError):
+            solve_bifurcation(mercury_params(), N=2, n_coll=8, scan_points=scan_points)
+
+
+def test_solve_range_iteration_cap():
+    with pytest.raises(SolverError):
+        solve_range(0.1, moon_params(), max_iter=1)
