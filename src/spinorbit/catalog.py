@@ -21,7 +21,7 @@ package (the eighteen synchronous moons, Mercury, and five minor bodies).
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -157,9 +157,6 @@ class ResonanceParams:
         return cls(p=body.p, q=body.q, e=body.e, eps=body.oblateness,
                    eta=eta, nu=body.nu)
 
-    def with_eta(self, eta: float) -> "ResonanceParams":
-        return replace(self, eta=eta)
-
     @property
     def eta_hat(self) -> float:
         return self.q * self.eta
@@ -178,42 +175,47 @@ class ResonanceParams:
         return 2 * self.p // self.q
 
 
-def _parse_float(field, value, line_no):
+def _parse_float(field, value):
     try:
+        if isinstance(value, bool):
+            raise ValueError
         return float(value)
-    except ValueError:
-        raise CatalogError(f"line {line_no}: bad numeric value {value!r} for {field}")
+    except (TypeError, ValueError, OverflowError):
+        raise CatalogError(f"bad numeric value {value!r} for {field}")
 
 
-def _parse_int(field, value, line_no):
+def _parse_int(field, value):
+    # a JSON 1.7 or true must not load as 1
     try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
-    except ValueError:
-        raise CatalogError(f"line {line_no}: bad integer value {value!r} for {field}")
+    except (TypeError, ValueError):
+        raise CatalogError(f"bad integer value {value!r} for {field}")
 
 
-def _body_from_fields(fields: dict, line_no) -> Body:
+def _body_from_fields(fields: dict, where: str) -> Body:
     try:
         rigidity = fields.get("K")
         if rigidity in (None, ""):
             rigidity = None
         else:
-            rigidity = _parse_float("K", rigidity, line_no)
+            rigidity = _parse_float("K", rigidity)
         body = Body(
             name=str(fields["name"]).strip(),
             primary=str(fields["primary"]).strip(),
-            a_km=_parse_float("a_km", fields["a_km"], line_no),
-            b_km=_parse_float("b_km", fields["b_km"], line_no),
-            c_km=_parse_float("c_km", fields["c_km"], line_no),
-            e=_parse_float("e", fields["e"], line_no),
-            p=_parse_int("p", fields["p"], line_no),
-            q=_parse_int("q", fields["q"], line_no),
+            a_km=_parse_float("a_km", fields["a_km"]),
+            b_km=_parse_float("b_km", fields["b_km"]),
+            c_km=_parse_float("c_km", fields["c_km"]),
+            e=_parse_float("e", fields["e"]),
+            p=_parse_int("p", fields["p"]),
+            q=_parse_int("q", fields["q"]),
             rigidity=rigidity,
         )
     except KeyError as exc:
-        raise CatalogError(f"line {line_no}: missing column {exc}")
+        raise CatalogError(f"{where}: missing column {exc}")
     except CatalogError as exc:
-        raise CatalogError(f"line {line_no}: {exc}")
+        raise CatalogError(f"{where}: {exc}")
     return body
 
 
@@ -238,7 +240,7 @@ def _load_csv(text: str) -> list:
                 f"line {line_no}: expected {len(header)} fields, got {len(cells)}"
             )
         fields = dict(zip(header, cells))
-        bodies.append(_body_from_fields(fields, line_no))
+        bodies.append(_body_from_fields(fields, f"line {line_no}"))
     if header is None:
         raise CatalogError("no header row found")
     return bodies
@@ -251,6 +253,9 @@ def _load_json(text: str) -> list:
         raise CatalogError(f"JSON parse failure: {exc}")
     if not isinstance(records, list):
         raise CatalogError("JSON catalog must be an array of body objects")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise CatalogError(f"record {i}: expected a JSON object, got {rec!r}")
     return [_body_from_fields(rec, f"record {i}") for i, rec in enumerate(records)]
 
 

@@ -11,12 +11,16 @@ Three subcommands:
   Exit 1 when --nquad nodes do not resolve a coefficient.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, verify it by direct integration residuals,
-  and emit it as JSON.  Exit 1 when a condition fails at that eta, the
-  solve fails, or the orbit's equation residual exceeds 1e-9.
+  and emit it as JSON, always (it takes no --format).  Exit 1 when a
+  condition fails at that eta, the solve fails, or the orbit's equation
+  residual exceeds 1e-9.
 
-The default catalog is the bundled one ('all' = 18 moons + Mercury); a
-file path or one of moons/mercury/minor/all may be given with --catalog or
-through the RESONANCE_CATALOG environment variable.
+Each subcommand declares only the flags its handler reads, and its handler
+receives the parsed namespace.  ``certify`` and ``orbit`` read a catalog:
+the bundled one ('all' = 18 moons + Mercury) by default, or a file path or
+one of moons/mercury/minor/all given with --catalog or through the
+RESONANCE_CATALOG environment variable.  All three write to --out when it
+is given; an --out that cannot be written exits 2.
 """
 
 import argparse
@@ -24,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import catalog as cat
@@ -45,44 +48,6 @@ _FORMATS = ("csv", "json", "md")
 _ORBIT_TOLERANCE = 1e-9
 
 
-@dataclass
-class RunConfig:
-    """Validated settings shared by the subcommands."""
-
-    command: str
-    catalog_path: str
-    body_filter: Optional[list] = None
-    eta: float = 0.0
-    output_format: str = "md"
-    quadrature_n: int = 2048
-    fourier_modes: Optional[int] = None
-    tol_fixed_point: float = 1e-12
-    tol_bifurcation: float = 1e-10
-    out: Optional[str] = None
-    extra: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}")
-        if self.quadrature_n < 64 or self.quadrature_n % 2:
-            raise ValueError("--nquad must be even and >= 64")
-        if self.fourier_modes is not None and self.fourier_modes < 1:
-            raise ValueError("--modes must be >= 1")
-        for tol in (self.tol_fixed_point, self.tol_bifurcation):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError("tolerances must be positive and finite")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError("--eta must be finite and >= 0")
-        if self.extra.get("samples", 2) < 2:
-            raise ValueError("--samples must be >= 2")
-        if self.command == "fourier":
-            e, j_max = self.extra["e"], self.extra["j_max"]
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
-            if j_max < 1:
-                raise ValueError(f"--jmax must be >= 1, got {j_max}")
-
-
 def _resolve_catalog(selector: Optional[str]):
     name = selector or os.environ.get("RESONANCE_CATALOG") or "all"
     if name in cat.BUNDLED_NAMES:
@@ -90,26 +55,32 @@ def _resolve_catalog(selector: Optional[str]):
     return cat.load_catalog(name)
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def cmd_certify(cfg: RunConfig) -> int:
+def _emit(text: str, out: Optional[str], code: int = 0) -> int:
+    """Write ``text`` to ``out`` (stdout if None) and return ``code``, or 2
+    when ``out`` cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return code
     try:
-        bodies = _resolve_catalog(cfg.catalog_path)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write --out {out}: {exc.strerror}", 2)
+    return code
+
+
+def cmd_certify(args) -> int:
+    try:
+        bodies = _resolve_catalog(args.catalog)
     except (cat.CatalogError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
-    if cfg.body_filter:
-        wanted = {n.lower() for n in cfg.body_filter}
+    if args.body:
+        wanted = {n.lower() for n in args.body}
         bodies = [b for b in bodies if b.name.lower() in wanted]
         if not bodies:
             return _fail("no bodies selected", 2)
@@ -118,9 +89,9 @@ def cmd_certify(cfg: RunConfig) -> int:
         "csv": cert.reports_to_csv,
         "json": cert.reports_to_json,
         "md": cert.reports_to_markdown,
-    }[cfg.output_format]
-    _emit(renderer(reports), cfg.out)
-    return 0 if all(r.certified for r in reports) else 1
+    }[args.format]
+    code = 0 if all(r.certified for r in reports) else 1
+    return _emit(renderer(reports), args.out, code)
 
 
 def _fourier_rows(e: float, j_max: int, n_quad: int):
@@ -164,37 +135,50 @@ def _render_fourier(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fourier(cfg: RunConfig) -> int:
+def cmd_fourier(args) -> int:
+    if args.nquad < 64 or args.nquad % 2:
+        return _fail("--nquad must be even and >= 64", 2)
+    if not 0.0 <= args.e < 1.0:
+        return _fail(f"eccentricity must satisfy 0 <= e < 1, got {args.e}", 2)
+    if args.jmax < 1:
+        return _fail(f"--jmax must be >= 1, got {args.jmax}", 2)
     try:
-        rows = _fourier_rows(cfg.extra["e"], cfg.extra["j_max"], cfg.quadrature_n)
+        rows = _fourier_rows(args.e, args.jmax, args.nquad)
     except QuadratureError as exc:
         return _fail(f"{exc}; raise --nquad", 1)
-    _emit(_render_fourier(rows, cfg.output_format), cfg.out)
-    return 0
+    return _emit(_render_fourier(rows, args.format), args.out)
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
+def cmd_orbit(args) -> int:
+    if args.modes is not None and args.modes < 1:
+        return _fail("--modes must be >= 1", 2)
+    for tol in (args.tol_fixed_point, args.tol_bifurcation):
+        if not (math.isfinite(tol) and tol > 0):
+            return _fail("tolerances must be positive and finite", 2)
+    if not (math.isfinite(args.eta) and args.eta >= 0):
+        return _fail("--eta must be finite and >= 0", 2)
+    if args.samples < 2:
+        return _fail("--samples must be >= 2", 2)
     try:
-        bodies = _resolve_catalog(cfg.catalog_path)
+        bodies = _resolve_catalog(args.catalog)
     except (cat.CatalogError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
-    name = cfg.extra["body"]
-    matches = [b for b in bodies if b.name.lower() == name.lower()]
+    matches = [b for b in bodies if b.name.lower() == args.body.lower()]
     if not matches:
-        return _fail(f"unknown body {name!r}", 2)
+        return _fail(f"unknown body {args.body!r}", 2)
     body = matches[0]
 
-    params = cat.ResonanceParams.from_body(body, eta=cfg.eta)
-    modes = cfg.fourier_modes or (64 if body.q == 1 else 128)
+    params = cat.ResonanceParams.from_body(body, eta=args.eta)
+    modes = args.modes or (64 if body.q == 1 else 128)
     try:
         orbit = solver.solve_bifurcation(
             params,
             N=modes,
-            tol_fixed_point=cfg.tol_fixed_point,
-            tol_bifurcation=cfg.tol_bifurcation,
+            tol_fixed_point=args.tol_fixed_point,
+            tol_bifurcation=args.tol_bifurcation,
         )
     except solver.PreconditionError as exc:
-        return _fail(f"{body.name} not certified at eta={cfg.eta}: {exc}", 1)
+        return _fail(f"{body.name} not certified at eta={args.eta}: {exc}", 1)
     except (solver.SolverError, solver.AliasingError) as exc:
         return _fail(str(exc), 1)
     residual = dynamics.orbit_residual(orbit)
@@ -205,14 +189,13 @@ def cmd_orbit(cfg: RunConfig) -> int:
             1,
         )
 
-    payload = orbit.to_dict(n_samples=cfg.extra.get("samples", 256))
+    payload = orbit.to_dict(n_samples=args.samples)
     payload["orbit_residual"] = residual
     payload["resonance_identity_residual"] = dynamics.check_resonance(
         orbit, body.p, body.q
     )
     payload["certification"] = cert.certify(body).to_dict()
-    _emit(json.dumps(payload, indent=1) + "\n", cfg.out)
-    return 0
+    return _emit(json.dumps(payload, indent=1) + "\n", args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,30 +205,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_catalog(p):
         p.add_argument("--catalog", default=None,
                        help="catalog path or bundled name "
                             "(moons/mercury/minor/all); default "
                             "$RESONANCE_CATALOG or 'all'")
+
+    def add_format(p):
         p.add_argument("--format", default="md", choices=_FORMATS,
                        help="output format (default md)")
-        p.add_argument("--out", default=None, help="write output to a file")
 
     p_cert = sub.add_parser("certify", help="evaluate the existence conditions")
-    add_common(p_cert)
+    p_cert.set_defaults(handler=cmd_certify)
+    add_catalog(p_cert)
+    add_format(p_cert)
     p_cert.add_argument("--body", action="append", default=None,
                         help="restrict to the named body (repeatable)")
 
     p_four = sub.add_parser("fourier", help="tabulate potential coefficients")
-    add_common(p_four)
+    p_four.set_defaults(handler=cmd_fourier)
+    add_format(p_four)
     p_four.add_argument("e", type=float, help="orbital eccentricity")
     p_four.add_argument("--jmax", type=int, default=4,
                         help="largest harmonic to tabulate (default 4)")
     p_four.add_argument("--nquad", type=int, default=2048,
                         help="quadrature nodes (even, >= 64; default 2048)")
 
-    p_orb = sub.add_parser("orbit", help="construct a resonant orbit")
-    add_common(p_orb)
+    p_orb = sub.add_parser("orbit", help="construct a resonant orbit (JSON)")
+    p_orb.set_defaults(handler=cmd_orbit)
+    add_catalog(p_orb)
     p_orb.add_argument("body", help="body name from the catalog")
     p_orb.add_argument("--eta", type=float, default=0.0,
                        help="dissipation parameter (default 0)")
@@ -257,36 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--tol-fixed-point", type=float, default=1e-12)
     p_orb.add_argument("--tol-bifurcation", type=float, default=1e-10)
 
+    for p in (p_cert, p_four, p_orb):
+        p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        catalog_path=args.catalog,
-        output_format=args.format,
-        out=args.out,
-    )
-    if args.command == "certify":
-        cfg.body_filter = args.body
-    elif args.command == "fourier":
-        cfg.quadrature_n = args.nquad
-        cfg.extra = {"e": args.e, "j_max": args.jmax}
-    elif args.command == "orbit":
-        cfg.eta = args.eta
-        cfg.fourier_modes = args.modes
-        cfg.tol_fixed_point = args.tol_fixed_point
-        cfg.tol_bifurcation = args.tol_bifurcation
-        cfg.extra = {"body": args.body, "samples": args.samples}
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-
-    handler = {"certify": cmd_certify, "fourier": cmd_fourier, "orbit": cmd_orbit}
-    return handler[cfg.command](cfg)
-
+    return args.handler(args)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -60,9 +60,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i) -> SpinState:
-        return SpinState(float(self.x[i]), float(self.v[i]), float(self.t[i]))
-
     @property
     def step(self) -> float:
         return float(self.t[1] - self.t[0])

@@ -274,8 +274,12 @@ class ResonantOrbit:
 
 
 def _require(params: ResonanceParams, names):
-    """Raise PreconditionError naming the first of ``names`` that fails."""
-    c = conditions(params)
+    """Raise PreconditionError naming the first of ``names`` that fails, or
+    the reason the conditions cannot be evaluated (e outside the disk)."""
+    try:
+        c = conditions(params)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from exc
     failed = [name for name in c.failed if name in names]
     if not failed:
         return

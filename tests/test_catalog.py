@@ -155,6 +155,31 @@ def test_json_parse_errors():
         load_catalog('[{"name": "X"}]')
 
 
+_JSON_RECORD = dict(name="X", primary="Y", a_km=2.0, b_km=1.0, c_km=1.0, e=0.1, p=1, q=1)
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"p": 1.7, "q": 1.2}, "p"),   # would load as 1:1
+    ({"p": 3, "q": 2.5}, "q"),
+    ({"p": True}, "p"),
+    ({"q": True}, "q"),
+    ({"a_km": True}, "a_km"),
+    ({"e": False}, "e"),
+    ({"a_km": None}, "a_km"),
+    ({"p": None}, "p"),
+    ({"e": [0.1]}, "e"),
+])
+def test_json_rejects_booleans_fractions_and_non_numbers(override, field):
+    record = dict(_JSON_RECORD, **override)
+    with pytest.raises(CatalogError, match=f"^record 0: bad .* value .* for {field}$"):
+        load_catalog(json.dumps([record]))
+
+
+def test_json_accepts_integral_floats():
+    (body,) = load_catalog(json.dumps([dict(_JSON_RECORD, p=3.0, q=2.0)]))
+    assert (body.p, body.q) == (3, 2) and type(body.p) is int
+
+
 def test_resonance_params_derived_quantities():
     (merc,) = bundled_catalog("mercury")
     params = ResonanceParams.from_body(merc, eta=0.001)

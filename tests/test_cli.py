@@ -206,3 +206,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("Mercury,")
+
+
+@pytest.mark.parametrize("text", [
+    '[{"name": "X", "primary": "Y", "a_km": 2.0, "b_km": 1.0, "c_km": 1.0,'
+    ' "e": 0.1, "p": 1.7, "q": 1.2}]',     # used to certify as 1:1
+    '[1, 2]',                              # used to end in AttributeError
+    '[{"name": "X", "primary": "Y", "a_km": null, "b_km": 1.0, "c_km": 1.0,'
+    ' "e": 0.1, "p": 1, "q": 1}]',         # used to end in TypeError
+], ids=["fractional-p-q", "non-object-record", "null-field"])
+def test_malformed_json_catalog_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "certify", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert "record 0" in err
+
+
+def test_orbit_outside_certified_disk_refused(capsys, tmp_path):
+    row = tmp_path / "row.csv"
+    row.write_text("name,primary,a_km,b_km,c_km,e,p,q\n"
+                   "Test,P,100.0,99.9,99.9,0.5,1,1\n")
+    code, out, err = run_cli(capsys, "orbit", "Test", "--catalog", str(row))
+    assert code == 1
+    assert out == ""
+    assert "Test not certified at eta=0.0" in err
+    assert "outside the Cauchy-estimate disk" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--catalog", "mercury"),
+    ("fourier", "0.1"),
+    ("orbit", "Moon"),
+])
+def test_unwritable_out_exit_two(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli(capsys, *argv, "--out", target)
+    assert code == 2
+    assert out == ""
+    assert target in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "Moon", "--format", "csv"),     # orbit always writes JSON
+    ("fourier", "0.1", "--catalog", "moons"),  # fourier reads no catalog
+])
+def test_flags_a_subcommand_does_not_read_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

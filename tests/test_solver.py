@@ -258,6 +258,15 @@ def test_solve_range_refuses_outside_certified_region():
         solve_range(0.1, moon_params(eta=0.05))
 
 
+def test_outside_certified_disk_is_a_precondition_error():
+    body = Body("X", "Y", 100.0, 99.9, 99.9, 0.5, 1, 1, None)
+    params = ResonanceParams.from_body(body)
+    for solve in (lambda: solve_range(0.1, params), lambda: phi_mean(0.1, params),
+                  lambda: solve_bifurcation(params)):
+        with pytest.raises(PreconditionError, match="outside the Cauchy-estimate disk"):
+            solve()
+
+
 # ----------------------------------------------------------------- phi_mean
 
 def test_phi_mean_close_to_leading_term():
