@@ -12,13 +12,14 @@ and the dissipation drift
     Omega(e) = (1 + 3 e^2 + (3/8) e^4) / (1 - e^2)^(9/2),
     N(e)     = (1 + (15/2) e^2 + (45/8) e^4 + (5/16) e^6) / (1 - e^2)^6,
 
-the tidal-torque averages of the linear viscous model.  Catalogs load from
-CSV (columns name,primary,a_km,b_km,c_km,e,p,q[,K]; '#' comments allowed)
-or an equivalent JSON array; three transcribed catalogs ship with the
-package (the eighteen synchronous moons, Mercury, and five minor bodies).
+the tidal-torque averages of the linear viscous model.  ``load_catalog``
+reads a file (a ``Path``) or catalog text (``str``/``bytes``): CSV with the
+header name,primary,a_km,b_km,c_km,e,p,q[,K] ('#' comments allowed) or an
+equivalent JSON array.  No other column is accepted, and only K may be
+absent, empty or null.  Three transcribed catalogs ship with the package
+(the eighteen synchronous moons, Mercury, and five minor bodies).
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -44,11 +45,38 @@ SUPPORTED_RESONANCES = ((1, 1), (3, 2))
 
 BUNDLED_NAMES = ("moons", "mercury", "minor", "all")
 
-_CSV_HEADER = ["name", "primary", "a_km", "b_km", "c_km", "e", "p", "q", "K"]
-
 
 class CatalogError(ValueError):
     """Malformed catalog input (parse failure or invariant violation)."""
+
+
+def _number(value):
+    if isinstance(value, bool):
+        raise TypeError
+    return float(value)
+
+
+def _integer(value):
+    # a JSON 1.7 or true must not load as 1
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError
+    return int(value)
+
+
+# The catalog record, in CSV column order: column -> (Body field, parser,
+# value kind named in errors).  K must stay last: it alone may be omitted.
+# str.strip raises TypeError for anything but a str (a JSON null or 5).
+_COLUMNS = {
+    "name": ("name", str.strip, "text"),
+    "primary": ("primary", str.strip, "text"),
+    "a_km": ("a_km", _number, "numeric"),
+    "b_km": ("b_km", _number, "numeric"),
+    "c_km": ("c_km", _number, "numeric"),
+    "e": ("e", _number, "numeric"),
+    "p": ("p", _integer, "integer"),
+    "q": ("q", _integer, "integer"),
+    "K": ("rigidity", _number, "numeric"),
+}
 
 
 def oblateness(a_km: float, b_km: float) -> float:
@@ -124,17 +152,7 @@ class Body:
         return nu_of_e(self.e)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "primary": self.primary,
-            "a_km": self.a_km,
-            "b_km": self.b_km,
-            "c_km": self.c_km,
-            "e": self.e,
-            "p": self.p,
-            "q": self.q,
-            "K": self.rigidity,
-        }
+        return {column: getattr(self, field) for column, (field, _, _) in _COLUMNS.items()}
 
 
 @dataclass(frozen=True)
@@ -175,67 +193,44 @@ class ResonanceParams:
         return 2 * self.p // self.q
 
 
-def _parse_float(field, value):
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CatalogError(f"bad numeric value {value!r} for {field}")
-
-
-def _parse_int(field, value):
-    # a JSON 1.7 or true must not load as 1
-    try:
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise CatalogError(f"bad integer value {value!r} for {field}")
-
-
 def _body_from_fields(fields: dict, where: str) -> Body:
+    values = {}
     try:
-        rigidity = fields.get("K")
-        if rigidity in (None, ""):
-            rigidity = None
-        else:
-            rigidity = _parse_float("K", rigidity)
-        body = Body(
-            name=str(fields["name"]).strip(),
-            primary=str(fields["primary"]).strip(),
-            a_km=_parse_float("a_km", fields["a_km"]),
-            b_km=_parse_float("b_km", fields["b_km"]),
-            c_km=_parse_float("c_km", fields["c_km"]),
-            e=_parse_float("e", fields["e"]),
-            p=_parse_int("p", fields["p"]),
-            q=_parse_int("q", fields["q"]),
-            rigidity=rigidity,
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: missing column {exc}")
+        for column, (field, parse, kind) in _COLUMNS.items():
+            value = fields.get(column)
+            if column == "K" and value in (None, ""):
+                values[field] = None
+            elif column not in fields:
+                raise CatalogError(f"missing column {column!r}")
+            else:
+                try:
+                    values[field] = parse(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise CatalogError(f"bad {kind} value {value!r} for {column}")
+        return Body(**values)
     except CatalogError as exc:
         raise CatalogError(f"{where}: {exc}")
-    return body
 
 
 def _load_csv(text: str) -> list:
     bodies = []
     header = None
+    columns = list(_COLUMNS)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
         if header is None:
-            if cells[: len(_CSV_HEADER) - 1] != _CSV_HEADER[:-1]:
+            if cells not in (columns, columns[:-1]):
                 raise CatalogError(
                     f"line {line_no}: expected header "
-                    f"{','.join(_CSV_HEADER[:-1])}[,K], got {line!r}"
+                    f"{','.join(columns[:-1])}[,K], got {line!r}"
                 )
             header = cells
             continue
-        if len(cells) not in (len(header), len(header) - 1):
+        # a row may omit K only when the header has it
+        if len(cells) not in (len(header), len(columns) - 1):
             raise CatalogError(
                 f"line {line_no}: expected {len(header)} fields, got {len(cells)}"
             )
@@ -256,67 +251,51 @@ def _load_json(text: str) -> list:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CatalogError(f"record {i}: expected a JSON object, got {rec!r}")
+        unknown = rec.keys() - _COLUMNS.keys()
+        if unknown:
+            raise CatalogError(f"record {i}: unknown key {min(unknown)!r}")
     return [_body_from_fields(rec, f"record {i}") for i, rec in enumerate(records)]
 
 
 def load_catalog(source) -> list:
-    """Load and validate a catalog from a path, file object, bytes or str.
+    """Load and validate a catalog from a file (``Path``) or its text.
 
-    The format is sniffed: input starting with '[' is parsed as JSON,
-    anything else as CSV.  Duplicate body names are rejected; every
-    invariant violation is reported with its row.
+    Text (``str`` or ``bytes``) starting with '[' is parsed as JSON,
+    anything else as CSV.  Duplicate body names, compared case-insensitively,
+    are rejected; every invariant violation is reported with its row.
     """
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
+        source = source.read_text(encoding="utf-8")
     elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        # multi-line strings and JSON arrays are content, anything else a path
-        if "\n" in source or source.lstrip().startswith("["):
-            text = source
-        else:
-            text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
+        source = source.decode("utf-8")
+    elif not isinstance(source, str):
         raise TypeError(f"unsupported catalog source {type(source)!r}")
 
-    stripped = text.lstrip()
-    bodies = _load_json(text) if stripped.startswith("[") else _load_csv(text)
+    stripped = source.lstrip()
+    bodies = _load_json(source) if stripped.startswith("[") else _load_csv(source)
 
-    seen = set()
+    seen = {}
     for body in bodies:
-        if body.name in seen:
-            raise CatalogError(f"duplicate body name {body.name!r}")
-        seen.add(body.name)
+        key = body.name.lower()
+        if key in seen:
+            raise CatalogError(f"duplicate body names {seen[key]!r} and {body.name!r}")
+        seen[key] = body.name
     return bodies
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _cell(value, parse) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if parse is _number else str(value)
 
 
 def serialize_catalog(bodies, fmt: str = "csv") -> str:
     """Serialize bodies back to the documented CSV or JSON format."""
     if fmt == "csv":
-        lines = [",".join(_CSV_HEADER)]
+        lines = [",".join(_COLUMNS)]
         for b in bodies:
-            lines.append(
-                ",".join(
-                    [
-                        b.name,
-                        b.primary,
-                        _format_float(b.a_km),
-                        _format_float(b.b_km),
-                        _format_float(b.c_km),
-                        _format_float(b.e),
-                        str(b.p),
-                        str(b.q),
-                        "" if b.rigidity is None else _format_float(b.rigidity),
-                    ]
-                )
-            )
+            lines.append(",".join(_cell(getattr(b, field), parse)
+                                  for field, parse, _ in _COLUMNS.values()))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps([b.to_dict() for b in bodies], indent=1) + "\n"
@@ -325,8 +304,9 @@ def serialize_catalog(bodies, fmt: str = "csv") -> str:
 
 def bundled_catalog_path(name: str) -> Path:
     """Filesystem path of a bundled catalog ('moons', 'mercury', 'minor')."""
-    if name not in ("moons", "mercury", "minor"):
-        raise ValueError(f"no bundled catalog {name!r}; choose from moons/mercury/minor")
+    files = BUNDLED_NAMES[:-1]  # 'all' is a concatenation, not a file
+    if name not in files:
+        raise ValueError(f"no bundled catalog {name!r}; choose from {'/'.join(files)}")
     return Path(resources.files("spinorbit").joinpath(f"data/{name}.csv"))
 
 

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import catalog as cat
@@ -52,7 +53,7 @@ def _resolve_catalog(selector: Optional[str]):
     name = selector or os.environ.get("RESONANCE_CATALOG") or "all"
     if name in cat.BUNDLED_NAMES:
         return cat.bundled_catalog(name)
-    return cat.load_catalog(name)
+    return cat.load_catalog(Path(name))
 
 
 def _fail(message: str, code: int) -> int:

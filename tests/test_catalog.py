@@ -175,6 +175,30 @@ def test_json_rejects_booleans_fractions_and_non_numbers(override, field):
         load_catalog(json.dumps([record]))
 
 
+@pytest.mark.parametrize("value", [None, 5, ["Moon"]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("field", ["name", "primary"])
+def test_json_rejects_non_string_text(field, value):
+    # str() used to turn these into a body named 'None', '5' or "['Moon']"
+    record = dict(_JSON_RECORD, **{field: value})
+    with pytest.raises(CatalogError, match=f"^record 0: bad text value .* for {field}$"):
+        load_catalog(json.dumps([record]))
+
+
+def test_short_csv_row_named_short():
+    # without K in the header no cell may be left out
+    text = "name,primary,a_km,b_km,c_km,e,p,q\nX,Y,2.0,1.0,1.0,0.1,1\n"
+    with pytest.raises(CatalogError, match="^line 2: expected 8 fields, got 7$"):
+        load_catalog(text)
+
+
+def test_str_is_catalog_text_never_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("mercury.csv").write_text(bundled_catalog_path("mercury").read_text())
+    assert load_catalog(Path("mercury.csv")) == bundled_catalog("mercury")
+    with pytest.raises(CatalogError, match="^line 1: expected header"):
+        load_catalog("mercury.csv")
+
+
 def test_json_accepts_integral_floats():
     (body,) = load_catalog(json.dumps([dict(_JSON_RECORD, p=3.0, q=2.0)]))
     assert (body.p, body.q) == (3, 2) and type(body.p) is int

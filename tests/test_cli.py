@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from spinorbit import catalog as cat
 from spinorbit.cli import main
 
 
@@ -256,3 +257,40 @@ def test_flags_a_subcommand_does_not_read_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("catalog.csv", "name,primary,a_km,b_km,c_km,e,p,q,eta\n"
+                    "X,Y,1738.1,1737.7,1736.0,0.0549,1,1,0.5\n"),
+    ("catalog.json", '[{"name": "X", "primary": "Y", "a_km": 1738.1, "b_km": 1737.7,'
+                     ' "c_km": 1736.0, "e": 0.0549, "p": 1, "q": 1, "eta": 0.5}]'),
+], ids=["csv-column", "json-key"])
+def test_unknown_column_exit_two(capsys, tmp_path, name, text):
+    # the eta column used to be dropped and the body certified
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "certify", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert "eta" in err
+
+
+def test_case_variant_duplicate_names_exit_two(capsys, tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text("name,primary,a_km,b_km,c_km,e,p,q\n"
+                    "Io,Jupiter,2.0,1.0,1.0,0.1,1,1\nIO,Jupiter,3.0,1.0,1.0,0.1,1,1\n")
+    code, out, err = run_cli(capsys, "certify", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert "'Io'" in err and "'IO'" in err
+
+
+def test_relative_path_starting_with_bracket(capsys, tmp_path, monkeypatch):
+    # a --catalog value is a file name, whatever its first character
+    monkeypatch.chdir(tmp_path)
+    with open("[old]mercury.csv", "w") as fh:
+        fh.write(cat.bundled_catalog_path("mercury").read_text())
+    code, out, _ = run_cli(capsys, "certify", "--catalog", "[old]mercury.csv",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("Mercury,")
