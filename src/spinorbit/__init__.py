@@ -31,24 +31,18 @@ from .certification import (
     green_norm_bound,
 )
 from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual, rhs
-from .kepler import CRITICAL_ECC, AnomalyTriple, KeplerError, anomalies, eccentric_anomaly
+from .kepler import AnomalyTriple, KeplerError, anomalies, eccentric_anomaly
 from .potential import (
     alpha_lower_bound,
     alpha_series,
     fourier_coefficient,
-    fourier_coefficient_exponential,
     potential_fx,
-    potential_fxx,
     remainder_bound,
-    tidal_kernel,
 )
 from .solver import (
     PeriodicFunction,
     RangeSolution,
     ResonantOrbit,
-    green_apply,
-    phi_hat,
-    phi_mean,
     solve_bifurcation,
     solve_range,
 )

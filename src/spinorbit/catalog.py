@@ -254,13 +254,19 @@ def _load_json(text: str) -> list:
         unknown = rec.keys() - _COLUMNS.keys()
         if unknown:
             raise CatalogError(f"record {i}: unknown key {min(unknown)!r}")
+        # the parsers also read CSV text, so JSON strings stop here; an
+        # empty K is documented as absent
+        for column, (_, _, kind) in _COLUMNS.items():
+            value = rec.get(column)
+            if kind != "text" and isinstance(value, str) and (column, value) != ("K", ""):
+                raise CatalogError(f"record {i}: bad {kind} value {value!r} for {column}")
     return [_body_from_fields(rec, f"record {i}") for i, rec in enumerate(records)]
 
 
 def load_catalog(source) -> list:
     """Load and validate a catalog from a file (``Path``) or its text.
 
-    Text (``str`` or ``bytes``) starting with '[' is parsed as JSON,
+    Text (``str`` or ``bytes``) starting with '[' or '{' is parsed as JSON,
     anything else as CSV.  Duplicate body names, compared case-insensitively,
     are rejected; every invariant violation is reported with its row.
     """
@@ -272,7 +278,7 @@ def load_catalog(source) -> list:
         raise TypeError(f"unsupported catalog source {type(source)!r}")
 
     stripped = source.lstrip()
-    bodies = _load_json(source) if stripped.startswith("[") else _load_csv(source)
+    bodies = _load_json(source) if stripped.startswith(("[", "{")) else _load_csv(source)
 
     seen = {}
     for body in bodies:

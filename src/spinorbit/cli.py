@@ -81,10 +81,12 @@ def cmd_certify(args) -> int:
     except (cat.CatalogError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
     if args.body:
+        known = {b.name.lower() for b in bodies}
+        unknown = [n for n in args.body if n.lower() not in known]
+        if unknown:
+            return _fail(f"unknown body {unknown[0]!r}; no bodies selected", 2)
         wanted = {n.lower() for n in args.body}
         bodies = [b for b in bodies if b.name.lower() in wanted]
-        if not bodies:
-            return _fail("no bodies selected", 2)
     reports = cert.certify_catalog(bodies)
     renderer = {
         "csv": cert.reports_to_csv,

@@ -12,7 +12,6 @@ compared against its reconstruction, and any trajectory can be tested for
 the resonance identity x(t + 2 pi q) = x(t) + 2 pi p.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,13 +62,6 @@ class Trajectory:
     @property
     def step(self) -> float:
         return float(self.t[1] - self.t[0])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,x,v\n")
-        for ti, xi, vi in zip(self.t, self.x, self.v):
-            buf.write(f"{float(ti)!r},{float(xi)!r},{float(vi)!r}\n")
-        return buf.getvalue()
 
 
 def rhs(state: SpinState, params: ResonanceParams):

@@ -7,25 +7,15 @@ true anomaly f of a Keplerian ellipse with eccentricity e are related by
     rho = 1 - e cos(u)
     f   = 2 arctan( sqrt((1+e)/(1-e)) tan(u/2) )
 
-Real eccentricities (0 <= e < 1) are handled by a Newton iteration with a
-guaranteed bisection fallback.  Complex eccentricities, needed for Cauchy
-estimates of Fourier-coefficient remainders on a complex disk, are handled
-by the fixed-point iteration v <- e sin(v + t) for v = u - t, which is a
-contraction of the ball |v| <= b whenever |e| < b/cosh(b) for some
-0 < b < 1.
+Eccentricities 0 <= e < 1 are handled by a Newton iteration with a
+guaranteed bisection fallback.  The solve on the eccentricity disk behind
+the Cauchy remainder bound is a test reference in tests/oracles.py.
 """
 
-import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
-
-# y maximizing y/cosh(y) (root of y*tanh(y) = 1) and the corresponding
-# maximum: e -> u_e(t) is holomorphic in |e| < CRITICAL_ECC, so no choice
-# of b can push the fixed-point iteration past that radius.
-CRITICAL_Y = 1.1996786402577338
-CRITICAL_ECC = 0.6627434193491816
 
 _NEWTON_CAP = 60
 _ITERATION_CAP = 200
@@ -43,31 +33,23 @@ class AnomalyTriple(NamedTuple):
     f: object
 
 
-def _check_tol(tol):
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-
-
 def eccentric_anomaly(e, t, tol: float = 1e-13):
     """Solve t = u - e sin(u) for the eccentric anomaly u.
 
     Args:
-        e: eccentricity; a real value in [0, 1), or a complex value with
-           |e| < b/cosh(b) for some b in (0, 1) (complex values trigger the
-           contraction solver even when the imaginary part is zero).
-        t: mean anomaly in radians; scalar or ndarray (real e only).
+        e: eccentricity in [0, 1).
+        t: mean anomaly in radians; scalar or ndarray.
         tol: absolute residual tolerance on |u - e sin(u) - t|.
 
     Returns:
-        u with the same shape as t (complex for complex e).
+        u with the same shape as t.
 
     Raises:
         ValueError: e out of the admissible range.
         KeplerError: no convergence within the iteration cap.
     """
-    _check_tol(tol)
-    if isinstance(e, complex):
-        return _eccentric_anomaly_complex(e, t, tol)
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if not 0.0 <= e < 1.0:
         raise ValueError(f"real eccentricity must satisfy 0 <= e < 1, got {e}")
     t_arr = np.asarray(t, dtype=float)
@@ -105,45 +87,14 @@ def _bisect_kepler(e, t, tol):
     raise KeplerError(f"bisection stagnated at e={e}, t={t}")
 
 
-def _eccentric_anomaly_complex(e, t, tol):
-    if abs(e) >= CRITICAL_ECC:
-        raise ValueError(
-            f"complex eccentricity |e|={abs(e):.6f} outside the contraction "
-            f"domain |e| < {CRITICAL_ECC:.6f}"
-        )
-    v = 0j
-    for _ in range(_ITERATION_CAP):
-        w = e * cmath.sin(v + t)
-        # |w - v| bounds the residual of w since the map is a contraction
-        if abs(w - v) <= tol:
-            return t + w
-        v = w
-    raise KeplerError(
-        f"contraction did not converge for e={e} (|e| too close to the "
-        f"boundary of its analyticity disk)"
-    )
-
-
 def anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:
     """Return (u, rho, f) at mean anomaly t.
 
     The true anomaly is computed from the half-angle arctangent formula and
     unwrapped against u (quadrant tracking through atan2 plus an explicit
     2*pi winding count), so f is continuous in t, f(0) = 0 and f(t) - t is
-    2*pi-periodic.  For complex e the analytic continuation
-    f = u + 2 arctan(beta sin(u) / (1 - beta cos(u))),
-    beta = e/(1 + sqrt(1 - e^2)), is used instead (scalar t only).
+    2*pi-periodic.
     """
-    _check_tol(tol)
-    if isinstance(e, complex):
-        u = _eccentric_anomaly_complex(e, t, tol)
-        rho = 1.0 - e * cmath.cos(u)
-        if abs(rho) <= tol:
-            raise KeplerError(f"degenerate orbital radius |rho|={abs(rho)} at e={e}, t={t}")
-        beta = e / (1.0 + cmath.sqrt(1.0 - e * e))
-        f = u + 2.0 * cmath.atan(beta * cmath.sin(u) / (1.0 - beta * cmath.cos(u)))
-        return AnomalyTriple(u, rho, f)
-
     u = eccentric_anomaly(e, t, tol)
     rho = 1.0 - e * np.cos(u)
     winding = np.floor((u + np.pi) / (2.0 * np.pi))

@@ -11,20 +11,18 @@ anomaly at mean anomaly t.  Expanded in time harmonics,
     V(x, t) = sum_{j != 0} alpha_j(e) cos(2x - j t),
 
 and the alpha_j control which p:q resonances can be sustained.  This module
-evaluates V_x and V_xx pointwise and provides three routes to alpha_j:
+evaluates V_x pointwise and provides two routes to alpha_j:
 
-* ``fourier_coefficient``       -- periodic-trapezoid quadrature of a real
-                                   integrand in the eccentric anomaly;
-* ``fourier_coefficient_exponential`` -- quadrature of the complex kernel
-                                   -exp(2i f_e)/(2 rho_e^3) on the mean-
-                                   anomaly grid (independent cross-check);
-* ``alpha_series``              -- exact-rational truncated Taylor
-                                   polynomial in e (j = 2, 3 only), with a
-                                   certified Cauchy remainder bound from
-                                   ``remainder_bound``.
+* ``fourier_coefficient`` -- periodic-trapezoid quadrature of a real
+                             integrand in the eccentric anomaly;
+* ``alpha_series``        -- exact-rational truncated Taylor polynomial in
+                             e (j = 2, 3 only), with a certified Cauchy
+                             remainder bound from ``remainder_bound``.
 
 The series and remainder provide rigorous lower bounds |alpha_j(e)| >=
-|series| - remainder used by the certification conditions.
+|series| - remainder used by the certification conditions.  A second
+quadrature route, on the mean-anomaly grid, is a test reference in
+tests/oracles.py.
 """
 
 import math
@@ -32,16 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kepler import anomalies, eccentric_anomaly
+from .kepler import anomalies
 
 __all__ = [
     "potential_fx",
-    "potential_fxx",
-    "fx_sup_bound",
-    "fxx_sup_bound",
     "fourier_coefficient",
-    "fourier_coefficient_exponential",
-    "tidal_kernel",
     "alpha_series",
     "remainder_bound",
     "alpha_lower_bound",
@@ -92,22 +85,6 @@ def potential_fx(e, x, t, tol: float = 1e-13):
     """
     _, rho, f = anomalies(e, t, tol)
     return np.sin(2.0 * np.asarray(x) - 2.0 * f) / rho**3
-
-
-def potential_fxx(e, x, t, tol: float = 1e-13):
-    """d2/dx2 of the potential: 2 cos(2x - 2 f_e(t)) / rho_e(t)^3."""
-    _, rho, f = anomalies(e, t, tol)
-    return 2.0 * np.cos(2.0 * np.asarray(x) - 2.0 * f) / rho**3
-
-
-def fx_sup_bound(e: float) -> float:
-    """sup over the (x, t) torus of |V_x|, bounded by 1/(1-e)^3."""
-    return 1.0 / (1.0 - e) ** 3
-
-
-def fxx_sup_bound(e: float) -> float:
-    """sup over the (x, t) torus of |V_xx|, bounded by 2/(1-e)^3."""
-    return 2.0 / (1.0 - e) ** 3
 
 
 def _quadrature_nodes(n_quad):
@@ -171,54 +148,6 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
     return _doubling_checked(_alpha_trapezoid, e, j, n_quad)
-
-
-def tidal_kernel(e, t, tol: float = 1e-13):
-    """Complex kernel -exp(2i f_e(t)) / (2 rho_e(t)^3).
-
-    Its j-th Fourier coefficient in t equals alpha_j(e).  Supports real and
-    complex eccentricities (the latter scalar-wise), which makes it usable
-    for bounding |alpha_j| on a complex disk.
-    """
-    if isinstance(e, complex):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t_arr.shape, dtype=complex)
-        for idx, tv in np.ndenumerate(t_arr):
-            u = eccentric_anomaly(e, float(tv), tol)
-            out[idx] = _kernel_from_u(e, u)
-        return out[0] if np.ndim(t) == 0 else out
-    u = eccentric_anomaly(e, t, tol)
-    return _kernel_from_u(e, u)
-
-
-def _kernel_from_u(e, u):
-    # -(w - i)^4 / (2 rho^3 (w^2+1)^2) with w = s tan(u/2); clearing the
-    # tan denominator gives the overflow-free form below.
-    s = ((1.0 + e) / (1.0 - e)) ** 0.5
-    a = s * np.sin(0.5 * np.asarray(u))
-    b = np.cos(0.5 * np.asarray(u))
-    rho = 1.0 - e * np.cos(u)
-    z = a - 1j * b
-    return -(z**4) / (2.0 * rho**3 * (a * a + b * b) ** 2)
-
-
-def _alpha_exponential(e, j, n_quad):
-    t = _quadrature_nodes(n_quad)
-    weights = tidal_kernel(e, t) * np.exp(-1j * j * t)
-    return complex(math.fsum(weights.real) / n_quad, math.fsum(weights.imag) / n_quad)
-
-
-def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> complex:
-    """alpha_j(e) as the j-th Fourier coefficient of the complex kernel.
-
-    Independent of :func:`fourier_coefficient`: integrates on the mean-
-    anomaly grid (one Kepler solve per node) instead of the eccentric-
-    anomaly grid.  The imaginary part is a numerical-zero diagnostic.  The
-    same doubled-node check raises QuadratureError on under-resolution.
-    """
-    if j == 0:
-        raise ValueError("j = 0 is undefined: the potential has no static harmonic")
-    return _doubling_checked(_alpha_exponential, e, j, n_quad)
 
 
 def alpha_series(j: int, e: float) -> float:

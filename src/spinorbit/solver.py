@@ -27,12 +27,11 @@ import numpy as np
 from .catalog import ResonanceParams
 from .certification import GREEN_ETA_HAT_MAX, conditions
 from .kepler import anomalies
-from .potential import potential_fx
 
 __all__ = [
     "PeriodicFunction", "RangeSolution", "ResonantOrbit",
     "SolverError", "PreconditionError", "AliasingError",
-    "green_apply", "phi_hat", "solve_range", "phi_mean", "solve_bifurcation",
+    "solve_range", "solve_bifurcation",
 ]
 
 _RANGE_ITERATION_CAP = 2000
@@ -65,7 +64,7 @@ class PeriodicFunction:
         c = np.asarray(coefficients, dtype=complex).copy()
         if c.ndim != 1 or len(c) < 1:
             raise ValueError("coefficients must be a non-empty 1-d array")
-        scale = np.max(np.abs(c)) if len(c) else 0.0
+        scale = np.max(np.abs(c))
         if abs(c[0]) > 1e-12 * max(scale, 1.0):
             raise ValueError(f"zero-average function required, got mean term {c[0]}")
         c[0] = 0.0
@@ -74,22 +73,6 @@ class PeriodicFunction:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "PeriodicFunction":
-        return cls(np.zeros(order + 1, dtype=complex))
-
-    @classmethod
-    def from_samples(cls, values, order: int) -> "PeriodicFunction":
-        """Project n uniform samples onto modes 1..order (mean discarded)."""
-        values = np.asarray(values, dtype=float)
-        n = len(values)
-        if n < 2 * order + 2:
-            raise ValueError(f"need at least {2 * order + 2} samples for order {order}")
-        spectrum = np.fft.rfft(values) / n
-        c = np.zeros(order + 1, dtype=complex)
-        c[1:] = spectrum[1 : order + 1]
-        return cls(c)
 
     def samples(self, n: int):
         """Values at n uniform nodes on [0, 2*pi); exact for n >= 2N+2."""
@@ -109,22 +92,6 @@ class PeriodicFunction:
         k = np.arange(len(self.coefficients))
         return PeriodicFunction(self.coefficients * (1j * k) ** order)
 
-    def sup_norm(self, n: Optional[int] = None) -> float:
-        n = n or max(512, 8 * self.order)
-        return float(np.max(np.abs(self.samples(n))))
-
-    def __mul__(self, scalar):
-        return PeriodicFunction(self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
-        n = max(self.order, other.order)
-        c = np.zeros(n + 1, dtype=complex)
-        c[: self.order + 1] = self.coefficients
-        c[: other.order + 1] -= other.coefficients
-        return PeriodicFunction(c)
-
 
 def _synthesize(coefficients, n: int):
     """Values at n uniform nodes of each row of modes 0..N (mode 0 ignored)."""
@@ -139,15 +106,6 @@ def _green_multiplier(order: int, eta_hat: float):
         raise ValueError(f"eta_hat must be >= 0, got {eta_hat}")
     k = np.arange(1, order + 1, dtype=float)
     return np.concatenate(([0.0], 1.0 / (-(k**2) + 1j * eta_hat * k)))
-
-
-def green_apply(g: PeriodicFunction, eta_hat: float) -> PeriodicFunction:
-    """Invert u'' + eta_hat u' = g on zero-average functions.
-
-    Fourier multiplier u_k = g_k / (-k^2 + i eta_hat k) for k != 0; the
-    zero mode is absent by the PeriodicFunction invariant.
-    """
-    return PeriodicFunction(g.coefficients * _green_multiplier(g.order, eta_hat))
 
 
 class _Workspace:
@@ -200,30 +158,16 @@ def _collocation_size(order: int, n_coll: Optional[int]) -> int:
     return n
 
 
-def phi_hat(xi: float, u: PeriodicFunction, params: ResonanceParams,
-            n_coll: Optional[int] = None):
-    """Zero-average part of -V_x(xi + p t + u(t), q t) on the collocation grid.
-
-    Returns (PeriodicFunction, removed_mean); the removed mean equals
-    -phi(xi) for the given u.  The composite is 2*pi-periodic in t because
-    p and q are integers.
-    """
-    n = _collocation_size(u.order, n_coll)
-    t = 2.0 * np.pi * np.arange(n) / n
-    values = -potential_fx(params.e, xi + params.p * t + u.samples(n), params.q * t)
-    c, mean = _project(values, u.order)
-    return PeriodicFunction(c), float(mean)
-
-
 @dataclass(frozen=True)
 class RangeSolution:
-    """Fixed point of the contraction at one phase xi."""
+    """Fixed point u of the contraction at one phase xi, and phi(xi) there."""
 
     xi: float
     u: PeriodicFunction
     sup_norm: float
     iterations: int
     increments: tuple
+    phi: float
 
 
 @dataclass(frozen=True)
@@ -349,19 +293,12 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
     """
     _require(params, ("green", "range"))
     ws = _Workspace(params, _collocation_size(N, n_coll))
-    coefficients, samples, _, increments = _fixed_points(
+    coefficients, samples, phi, increments = _fixed_points(
         [xi], params, N, tol, ws, max_iter, initial)
     return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
                          sup_norm=float(np.max(np.abs(samples[0]))),
-                         iterations=len(increments[0]), increments=tuple(increments[0]))
-
-
-def phi_mean(xi: float, params: ResonanceParams, N: int = 64,
-             tol: float = 1e-12, n_coll: Optional[int] = None) -> float:
-    """Average of V_x(xi + p t + u(t; xi), q t) at the solved fixed point."""
-    _require(params, ("green", "range"))
-    ws = _Workspace(params, _collocation_size(N, n_coll))
-    return _fixed_points([xi], params, N, tol, ws, _RANGE_ITERATION_CAP)[2][0]
+                         iterations=len(increments[0]), increments=tuple(increments[0]),
+                         phi=phi[0])
 
 
 def solve_bifurcation(params: ResonanceParams, N: int = 64,

@@ -1,0 +1,184 @@
+"""Test references the package does not ship: the Kepler solve at complex e,
+alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
+the Green operator and PeriodicFunction arithmetic.
+
+Each calls the package's private kernel where one exists, so the tests keep
+exercising package code.  Pytest does not collect this module."""
+
+import cmath
+import math
+from typing import Optional
+
+import numpy as np
+
+from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
+                              eccentric_anomaly)
+from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
+from spinorbit.solver import PeriodicFunction, _collocation_size, _green_multiplier, _project
+
+# ---------------------------------------------------- Kepler at complex e
+
+# maximum of y/cosh(y), at the root of y*tanh(y) = 1: e -> u_e(t) is
+# holomorphic in |e| < CRITICAL_ECC, so no choice of b can push the
+# fixed-point iteration past that radius.
+CRITICAL_ECC = 0.6627434193491816
+
+
+def complex_eccentric_anomaly(e, t, tol: float = 1e-13):
+    """Solve t = u - e sin(u) at complex e and scalar t.
+
+    Iterates v <- e sin(v + t) for v = u - t, a contraction of the ball
+    |v| <= b whenever |e| < b/cosh(b) for some 0 < b < 1.
+    """
+    if abs(e) >= CRITICAL_ECC:
+        raise ValueError(
+            f"complex eccentricity |e|={abs(e):.6f} outside the contraction "
+            f"domain |e| < {CRITICAL_ECC:.6f}"
+        )
+    v = 0j
+    for _ in range(_ITERATION_CAP):
+        w = e * cmath.sin(v + t)
+        # |w - v| bounds the residual of w since the map is a contraction
+        if abs(w - v) <= tol:
+            return t + w
+        v = w
+    raise KeplerError(
+        f"contraction did not converge for e={e} (|e| too close to the "
+        f"boundary of its analyticity disk)"
+    )
+
+
+def complex_anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:
+    """(u, rho, f) at complex e and scalar t, by the analytic continuation
+    f = u + 2 arctan(beta sin(u) / (1 - beta cos(u))), beta = e/(1 + sqrt(1 - e^2))."""
+    u = complex_eccentric_anomaly(e, t, tol)
+    rho = 1.0 - e * cmath.cos(u)
+    if abs(rho) <= tol:
+        raise KeplerError(f"degenerate orbital radius |rho|={abs(rho)} at e={e}, t={t}")
+    beta = e / (1.0 + cmath.sqrt(1.0 - e * e))
+    f = u + 2.0 * cmath.atan(beta * cmath.sin(u) / (1.0 - beta * cmath.cos(u)))
+    return AnomalyTriple(u, rho, f)
+
+
+# ------------------------------------------------------- potential bounds
+
+def potential_fxx(e, x, t, tol: float = 1e-13):
+    """d2/dx2 of the potential: 2 cos(2x - 2 f_e(t)) / rho_e(t)^3."""
+    _, rho, f = anomalies(e, t, tol)
+    return 2.0 * np.cos(2.0 * np.asarray(x) - 2.0 * f) / rho**3
+
+
+def fx_sup_bound(e: float) -> float:
+    """sup over the (x, t) torus of |V_x|, bounded by 1/(1-e)^3."""
+    return 1.0 / (1.0 - e) ** 3
+
+
+def fxx_sup_bound(e: float) -> float:
+    """sup over the (x, t) torus of |V_xx|, bounded by 2/(1-e)^3."""
+    return 2.0 / (1.0 - e) ** 3
+
+
+def tidal_kernel(e, t, tol: float = 1e-13):
+    """Complex kernel -exp(2i f_e(t)) / (2 rho_e(t)^3).
+
+    Its j-th Fourier coefficient in t equals alpha_j(e).  Supports real and
+    complex eccentricities (the latter scalar-wise), which makes it usable
+    for bounding |alpha_j| on a complex disk.
+    """
+    if isinstance(e, complex):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty(t_arr.shape, dtype=complex)
+        for idx, tv in np.ndenumerate(t_arr):
+            u = complex_eccentric_anomaly(e, float(tv), tol)
+            out[idx] = _kernel_from_u(e, u)
+        return out[0] if np.ndim(t) == 0 else out
+    u = eccentric_anomaly(e, t, tol)
+    return _kernel_from_u(e, u)
+
+
+def _kernel_from_u(e, u):
+    # -(w - i)^4 / (2 rho^3 (w^2+1)^2) with w = s tan(u/2); clearing the
+    # tan denominator gives the overflow-free form below.
+    s = ((1.0 + e) / (1.0 - e)) ** 0.5
+    a = s * np.sin(0.5 * np.asarray(u))
+    b = np.cos(0.5 * np.asarray(u))
+    rho = 1.0 - e * np.cos(u)
+    z = a - 1j * b
+    return -(z**4) / (2.0 * rho**3 * (a * a + b * b) ** 2)
+
+
+def _alpha_exponential(e, j, n_quad):
+    t = _quadrature_nodes(n_quad)
+    weights = tidal_kernel(e, t) * np.exp(-1j * j * t)
+    return complex(math.fsum(weights.real) / n_quad, math.fsum(weights.imag) / n_quad)
+
+
+def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> complex:
+    """alpha_j(e) as the j-th Fourier coefficient of the complex kernel.
+
+    Independent of ``fourier_coefficient``: integrates on the mean-anomaly
+    grid (one Kepler solve per node) instead of the eccentric-anomaly grid.
+    The imaginary part is a numerical-zero diagnostic.  The package's
+    doubled-node check raises QuadratureError on under-resolution.
+    """
+    if j == 0:
+        raise ValueError("j = 0 is undefined: the potential has no static harmonic")
+    return _doubling_checked(_alpha_exponential, e, j, n_quad)
+
+
+# ------------------------------------------------ periodic functions
+
+def zero(order: int) -> PeriodicFunction:
+    return PeriodicFunction(np.zeros(order + 1, dtype=complex))
+
+
+def from_samples(values, order: int) -> PeriodicFunction:
+    """Project n uniform samples onto modes 1..order (mean discarded)."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if n < 2 * order + 2:
+        raise ValueError(f"need at least {2 * order + 2} samples for order {order}")
+    spectrum = np.fft.rfft(values) / n
+    c = np.zeros(order + 1, dtype=complex)
+    c[1:] = spectrum[1 : order + 1]
+    return PeriodicFunction(c)
+
+
+def sup_norm(v: PeriodicFunction, n: Optional[int] = None) -> float:
+    n = n or max(512, 8 * v.order)
+    return float(np.max(np.abs(v.samples(n))))
+
+
+def scaled(v: PeriodicFunction, scalar) -> PeriodicFunction:
+    return PeriodicFunction(v.coefficients * scalar)
+
+
+def difference(v: PeriodicFunction, w: PeriodicFunction) -> PeriodicFunction:
+    n = max(v.order, w.order)
+    c = np.zeros(n + 1, dtype=complex)
+    c[: v.order + 1] = v.coefficients
+    c[: w.order + 1] -= w.coefficients
+    return PeriodicFunction(c)
+
+
+def green_apply(g: PeriodicFunction, eta_hat: float) -> PeriodicFunction:
+    """Invert u'' + eta_hat u' = g on zero-average functions.
+
+    Fourier multiplier u_k = g_k / (-k^2 + i eta_hat k) for k != 0; the
+    zero mode is absent by the PeriodicFunction invariant.
+    """
+    return PeriodicFunction(g.coefficients * _green_multiplier(g.order, eta_hat))
+
+
+def phi_hat(xi: float, u: PeriodicFunction, params, n_coll: Optional[int] = None):
+    """Zero-average part of -V_x(xi + p t + u(t), q t) on the collocation grid.
+
+    Returns (PeriodicFunction, removed_mean); the removed mean equals
+    -phi(xi) for the given u.  The composite is 2*pi-periodic in t because
+    p and q are integers.
+    """
+    n = _collocation_size(u.order, n_coll)
+    t = 2.0 * np.pi * np.arange(n) / n
+    values = -potential_fx(params.e, xi + params.p * t + u.samples(n), params.q * t)
+    c, mean = _project(values, u.order)
+    return PeriodicFunction(c), float(mean)

@@ -184,6 +184,22 @@ def test_json_rejects_non_string_text(field, value):
         load_catalog(json.dumps([record]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a_km", "2.0"), ("e", "0.1"), ("p", "1"), ("q", "1"), ("K", "5"),
+])
+def test_json_rejects_numbers_written_as_strings(field, value):
+    # these used to load as numbers; a CSV cell is text and is parsed
+    record = dict(_JSON_RECORD, **{field: value})
+    kind = "integer" if field in ("p", "q") else "numeric"
+    with pytest.raises(CatalogError, match=f"^record 0: bad {kind} value '{value}' for {field}$"):
+        load_catalog(json.dumps([record]))
+
+
+def test_json_accepts_empty_k():
+    (body,) = load_catalog(json.dumps([dict(_JSON_RECORD, K="")]))
+    assert body.rigidity is None
+
+
 def test_short_csv_row_named_short():
     # without K in the header no cell may be left out
     text = "name,primary,a_km,b_km,c_km,e,p,q\nX,Y,2.0,1.0,1.0,0.1,1\n"

@@ -50,6 +50,14 @@ def test_certify_empty_filter_exit_two(capsys):
     assert "no bodies selected" in err
 
 
+def test_certify_unknown_body_among_known_exit_two(capsys):
+    # Moon alone used to be reported, with exit 0
+    code, out, err = run_cli(capsys, "certify", "--body", "Moon", "--body", "Nope")
+    assert code == 2
+    assert out == ""
+    assert "'Nope'" in err and "no bodies selected" in err
+
+
 def test_certify_missing_catalog_exit_two(capsys):
     code, _, err = run_cli(capsys, "certify", "--catalog", "/nonexistent/file.csv")
     assert code == 2
@@ -223,6 +231,16 @@ def test_malformed_json_catalog_exit_two(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert "record 0" in err
+
+
+def test_json_object_catalog_exit_two(capsys, tmp_path):
+    # used to be read as CSV and refused for its header
+    path = tmp_path / "catalog.json"
+    path.write_text(' {"a": 1}')
+    code, out, err = run_cli(capsys, "certify", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert "JSON catalog must be an array of body objects" in err
 
 
 def test_orbit_outside_certified_disk_refused(capsys, tmp_path):

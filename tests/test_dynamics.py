@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scaled, zero
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.dynamics import (
     DynamicsError,
@@ -14,7 +15,7 @@ from spinorbit.dynamics import (
     orbit_residual,
     rhs,
 )
-from spinorbit.solver import PeriodicFunction, ResonantOrbit, solve_bifurcation
+from spinorbit.solver import ResonantOrbit, solve_bifurcation
 from test_kepler import bisect_oracle
 
 TWO_PI = 2.0 * math.pi
@@ -117,7 +118,7 @@ def test_orbit_reconstruction_residual_is_zero_by_construction():
 def test_orbit_residual_trivial_zero():
     params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)
     orbit = ResonantOrbit(
-        params=params, xi_star=0.3, u=PeriodicFunction.zero(8),
+        params=params, xi_star=0.3, u=zero(8),
         bifurcation_residual=0.0, sign_changes=(), xi_average=0.3,
     )
     assert orbit_residual(orbit) == 0.0
@@ -129,7 +130,7 @@ def test_orbit_residual_certified_moon():
     base = orbit_residual(orbit)
     assert base <= 1e-9
     perturbed = ResonantOrbit(
-        params=orbit.params, xi_star=orbit.xi_star, u=1.01 * orbit.u,
+        params=orbit.params, xi_star=orbit.xi_star, u=scaled(orbit.u, 1.01),
         bifurcation_residual=orbit.bifurcation_residual,
         sign_changes=orbit.sign_changes, xi_average=orbit.xi_average,
     )
@@ -167,12 +168,3 @@ def test_dissipative_attraction_logged_not_asserted():
         f"after {periods} periods {distance[-1]:.1e}, "
         f"monotone non-increasing: {bool(np.all(np.diff(distance) <= 1e-12))}"
     )
-
-
-def test_trajectory_csv_export():
-    params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)
-    traj = integrate(SpinState(0.0, 1.0, 0.0), 0.1, params, step=0.05)
-    lines = traj.to_csv().splitlines()
-    assert lines[0] == "t,x,v"
-    assert len(lines) == len(traj) + 1
-    assert float(lines[1].split(",")[1]) == 0.0

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fourier_coefficient_exponential, fxx_sup_bound, potential_fxx, tidal_kernel
 from spinorbit.potential import (
     CANONICAL_B,
     CANONICAL_ORDER,
@@ -19,12 +20,8 @@ from spinorbit.potential import (
     alpha_series,
     canonical_disk,
     fourier_coefficient,
-    fourier_coefficient_exponential,
-    fxx_sup_bound,
     potential_fx,
-    potential_fxx,
     remainder_bound,
-    tidal_kernel,
 )
 from test_kepler import bisect_oracle
 

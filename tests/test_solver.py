@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (difference, from_samples, fx_sup_bound, fxx_sup_bound, green_apply,
+                     phi_hat, scaled, sup_norm, zero)
 from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions, green_norm_bound
-from spinorbit.potential import fourier_coefficient, fx_sup_bound, fxx_sup_bound
+from spinorbit.potential import fourier_coefficient
 from spinorbit.solver import (
     AliasingError,
     PeriodicFunction,
     PreconditionError,
     SolverError,
-    green_apply,
-    phi_hat,
-    phi_mean,
     solve_bifurcation,
     solve_range,
 )
@@ -42,7 +41,7 @@ def test_periodic_function_round_trip():
     rng = np.random.default_rng(1)
     v = random_zero_mean(rng, 12)
     n = 64
-    rebuilt = PeriodicFunction.from_samples(v.samples(n), 12)
+    rebuilt = from_samples(v.samples(n), 12)
     assert np.allclose(rebuilt.coefficients, v.coefficients, atol=1e-14)
 
 
@@ -61,25 +60,25 @@ def test_evaluate_matches_samples():
 
 def test_derivative_and_arithmetic():
     grid = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    cos_t = PeriodicFunction.from_samples(np.cos(grid), 4)
+    cos_t = from_samples(np.cos(grid), 4)
     dcos = cos_t.derivative()
     assert np.allclose(dcos.evaluate(grid), -np.sin(grid), atol=1e-13)
-    doubled = 2.0 * cos_t
-    assert np.allclose((doubled - cos_t).evaluate(grid), np.cos(grid), atol=1e-13)
+    doubled = scaled(cos_t, 2.0)
+    assert np.allclose(difference(doubled, cos_t).evaluate(grid), np.cos(grid), atol=1e-13)
 
 
 # -------------------------------------------------------------- green operator
 
 def test_green_apply_cosine():
     grid = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    g = PeriodicFunction.from_samples(np.cos(grid), 4)
+    g = from_samples(np.cos(grid), 4)
     u = green_apply(g, 0.0)
     assert np.allclose(u.evaluate(grid), -np.cos(grid), atol=1e-14)
 
 
 def test_green_apply_second_harmonic():
     grid = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    g = PeriodicFunction.from_samples(np.sin(2.0 * grid), 4)
+    g = from_samples(np.sin(2.0 * grid), 4)
     u = green_apply(g, 0.0)
     assert np.allclose(u.evaluate(grid), -np.sin(2.0 * grid) / 4.0, atol=1e-14)
 
@@ -92,12 +91,12 @@ def test_green_apply_inverts_operator():
             g = random_zero_mean(rng, 16)
             u = green_apply(g, eta_hat)
             lu = u.derivative(2).coefficients + eta_hat * u.derivative(1).coefficients
-            assert np.max(np.abs(lu - g.coefficients)) <= 1e-10 * g.sup_norm()
+            assert np.max(np.abs(lu - g.coefficients)) <= 1e-10 * sup_norm(g)
 
 
 def test_green_apply_rejects_negative_dissipation():
     with pytest.raises(ValueError):
-        green_apply(PeriodicFunction.zero(4), -0.1)
+        green_apply(zero(4), -0.1)
 
 
 def test_operator_norm_bound_on_random_forcings():
@@ -107,7 +106,7 @@ def test_operator_norm_bound_on_random_forcings():
         for _ in range(25):
             g = random_zero_mean(rng, int(rng.integers(1, 32)))
             u = green_apply(g, eta_hat)
-            assert u.sup_norm(4096) <= bound * g.sup_norm(4096) * (1.0 + 1e-9)
+            assert sup_norm(u, 4096) <= bound * sup_norm(g, 4096) * (1.0 + 1e-9)
 
 
 # --------------------------------------------------- norm inequality suite
@@ -119,10 +118,10 @@ def test_zero_mean_norm_inequalities():
     n = 8192
     for _ in range(100):
         v = random_zero_mean(rng, int(rng.integers(1, 33)))
-        sup_v = v.sup_norm(n)
+        sup_v = sup_norm(v, n)
         slack = 1.0 + 1e-6
-        assert sup_v <= (math.pi / 2.0) * v.derivative(1).sup_norm(n) * slack
-        assert sup_v <= (math.pi**2 / 8.0) * v.derivative(2).sup_norm(n) * slack
+        assert sup_v <= (math.pi / 2.0) * sup_norm(v.derivative(1), n) * slack
+        assert sup_v <= (math.pi**2 / 8.0) * sup_norm(v.derivative(2), n) * slack
 
 
 def _near_triangle_wave(inverse_power):
@@ -138,7 +137,7 @@ def _near_triangle_wave(inverse_power):
 def test_first_inequality_sharpness_triangle_wave():
     # ||v||/||v'|| approaches pi/2 from below for near-triangle waves
     v = _near_triangle_wave(2)
-    ratio = v.sup_norm(8192) / v.derivative(1).sup_norm(8192)
+    ratio = sup_norm(v, 8192) / sup_norm(v.derivative(1), 8192)
     assert 0.95 * math.pi / 2.0 <= ratio <= math.pi / 2.0 * (1.0 + 1e-9)
 
 
@@ -146,7 +145,7 @@ def test_second_inequality_sharpness_parabola_wave():
     # ||v||/||v''|| approaches pi^2/8 for the double integral of a
     # (smoothed) square wave
     v = _near_triangle_wave(3)
-    ratio = v.sup_norm(8192) / v.derivative(2).sup_norm(8192)
+    ratio = sup_norm(v, 8192) / sup_norm(v.derivative(2), 8192)
     assert 0.95 * math.pi**2 / 8.0 <= ratio <= math.pi**2 / 8.0 * (1.0 + 1e-9)
 
 
@@ -157,14 +156,14 @@ def test_phi_hat_circular_orbit_mean():
     # zero-mean part vanishes and the removed mean is -sin(2 xi)
     params = ResonanceParams(p=1, q=1, e=0.0, eps=0.01, eta=0.0, nu=1.0)
     for xi in (0.0, 0.3, math.pi / 4.0):
-        pf, removed = phi_hat(xi, PeriodicFunction.zero(16), params)
-        assert pf.sup_norm() <= 1e-14
+        pf, removed = phi_hat(xi, zero(16), params)
+        assert sup_norm(pf) <= 1e-14
         assert removed == pytest.approx(-math.sin(2.0 * xi), abs=1e-14)
 
 
 def test_phi_hat_zero_phase_has_zero_mean():
     params = moon_params()
-    _, removed = phi_hat(0.0, PeriodicFunction.zero(32), params)
+    _, removed = phi_hat(0.0, zero(32), params)
     assert abs(removed) <= 1e-15
 
 
@@ -173,7 +172,7 @@ def test_phi_hat_mean_matches_quadrature_coefficient():
     for params in (moon_params(), mercury_params()):
         alpha = fourier_coefficient(params.e, params.harmonic)
         for xi in (math.pi / 4.0, 0.9):
-            _, removed = phi_hat(xi, PeriodicFunction.zero(64), params)
+            _, removed = phi_hat(xi, zero(64), params)
             assert removed == pytest.approx(
                 2.0 * alpha * math.sin(2.0 * xi), abs=1e-10
             )
@@ -182,7 +181,7 @@ def test_phi_hat_mean_matches_quadrature_coefficient():
 def test_phi_hat_aliasing_guard():
     params = mercury_params()
     with pytest.raises(AliasingError):
-        phi_hat(0.3, PeriodicFunction.zero(2), params, n_coll=8)
+        phi_hat(0.3, zero(2), params, n_coll=8)
 
 
 # --------------------------------------------------------------- solve_range
@@ -213,8 +212,8 @@ def test_solve_range_fixed_point_residual():
     tol = 1e-12
     sol = solve_range(1.1, params, N=128, tol=tol)
     pf, _ = phi_hat(1.1, sol.u, params)
-    image = params.eps_hat * green_apply(pf, params.eta_hat)
-    assert (image - sol.u).sup_norm() <= 2.0 * tol
+    image = scaled(green_apply(pf, params.eta_hat), params.eps_hat)
+    assert sup_norm(difference(image, sol.u)) <= 2.0 * tol
 
 
 def test_solve_range_unique_fixed_point_from_two_starts():
@@ -223,10 +222,10 @@ def test_solve_range_unique_fixed_point_from_two_starts():
         tol = 1e-12
         radius = 2.5 * params.eps_hat * fx_sup_bound(params.e)
         start = random_zero_mean(rng, 16)
-        start = (radius / start.sup_norm()) * start
+        start = scaled(start, radius / sup_norm(start))
         a = solve_range(0.4, params, tol=tol)
         b = solve_range(0.4, params, tol=tol, initial=start)
-        assert (a.u - b.u).sup_norm() <= 10.0 * tol
+        assert sup_norm(difference(a.u, b.u)) <= 10.0 * tol
 
 
 def test_solution_ball_across_certified_catalog():
@@ -261,13 +260,13 @@ def test_solve_range_refuses_outside_certified_region():
 def test_outside_certified_disk_is_a_precondition_error():
     body = Body("X", "Y", 100.0, 99.9, 99.9, 0.5, 1, 1, None)
     params = ResonanceParams.from_body(body)
-    for solve in (lambda: solve_range(0.1, params), lambda: phi_mean(0.1, params),
+    for solve in (lambda: solve_range(0.1, params), lambda: solve_range(0.1, params).phi,
                   lambda: solve_bifurcation(params)):
         with pytest.raises(PreconditionError, match="outside the Cauchy-estimate disk"):
             solve()
 
 
-# ----------------------------------------------------------------- phi_mean
+# ------------------------------------------------------ solve_range(...).phi
 
 def test_phi_mean_close_to_leading_term():
     # |phi(xi) - (-2 alpha_j sin 2 xi)| <= eps_hat * 5/(1-e)^6
@@ -275,14 +274,14 @@ def test_phi_mean_close_to_leading_term():
         alpha = fourier_coefficient(params.e, params.harmonic)
         m1 = 5.0 / (1.0 - params.e) ** 6
         for xi in (0.2, math.pi / 4.0, 2.0):
-            phi = phi_mean(xi, params, N=96)
+            phi = solve_range(xi, params, N=96).phi
             leading = -2.0 * alpha * math.sin(2.0 * xi)
             assert abs(phi - leading) <= params.eps_hat * m1
 
 
 def test_phi_mean_vanishes_at_zero_phase_without_dissipation():
     # time-reversal symmetry forces an odd correction and zero average
-    assert abs(phi_mean(0.0, moon_params())) <= 1e-12
+    assert abs(solve_range(0.0, moon_params()).phi) <= 1e-12
 
 
 # ---------------------------------------------------------- solve_bifurcation
@@ -306,7 +305,7 @@ def test_bifurcation_with_dissipation():
     orbit = solve_bifurcation(params, N=128, scan_points=0)
     assert orbit.bifurcation_residual <= 1e-10
     target = params.eta_hat * params.nu_hat / params.eps_hat
-    phi = phi_mean(orbit.xi_star, params, N=128)
+    phi = solve_range(orbit.xi_star, params, N=128).phi
     assert phi == pytest.approx(target, abs=1e-9)
 
 
@@ -408,11 +407,11 @@ def _project_reference(samples, order):
 
 def _solve_range_reference(xi, params, order, tol, ws, max_iter):
     eps_hat, eta_hat = params.eps_hat, params.eta_hat
-    u = PeriodicFunction.zero(order)
+    u = zero(order)
     u_samples = np.zeros(ws.n)
     for _ in range(max_iter):
         rhs, _ = _project_reference(ws.neg_fx_samples(xi, u_samples), order)
-        new_u = green_apply(rhs, eta_hat) * eps_hat
+        new_u = scaled(green_apply(rhs, eta_hat), eps_hat)
         new_samples = new_u.samples(ws.n)
         increment = float(np.max(np.abs(new_samples - u_samples)))
         u, u_samples = new_u, new_samples
