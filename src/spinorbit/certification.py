@@ -44,6 +44,7 @@ __all__ = [
     "reports_to_json",
     "reports_to_markdown",
     "REPORT_COLUMNS",
+    "json_value",
 ]
 
 # Largest eta_hat keeping the Green-operator norm bound at 5/4 exactly:
@@ -76,9 +77,10 @@ class Conditions:
     right-hand side minus the left-hand side of each inequality.  The
     strict ones (range, non-empty) hold when positive, the others when
     non-negative.  ``halfwidth`` is 2a - 5 eps_hat/(1-e)^6, and
-    ``eta_hat_bif`` the bifurcation ceiling on eta_hat: 0.0 when the
-    half-width is not positive (no certificate at any eta), +inf when
-    nu_hat = 0 (only the Green cap remains).
+    ``eta_hat_bif`` the bifurcation ceiling on eta_hat: 0.0 when eps_hat
+    <= 0 (the phase equation is undefined) or the half-width is not
+    positive (no certificate at any eta), +inf when nu_hat = 0 (only the
+    Green cap remains).
     """
 
     alpha_lower: float
@@ -115,7 +117,7 @@ def conditions(params: ResonanceParams) -> Conditions:
     alpha = alpha_lower_bound(params.harmonic, e)
     m = (1.0 - e) ** 6
     halfwidth = 2.0 * alpha - 5.0 * eps_hat / m
-    if halfwidth <= 0.0:
+    if halfwidth <= 0.0 or eps_hat <= 0.0:
         eta_hat_bif = 0.0
     elif nu_hat == 0.0:
         eta_hat_bif = math.inf
@@ -152,15 +154,15 @@ class CertificationReport:
     certified: bool
 
     def to_dict(self) -> dict:
-        d = {column: getattr(self, column) for column in REPORT_COLUMNS}
-        # strict-JSON-friendly sentinel for the degenerate drift case
-        for column in ("eta_bif_max", "eta_admissible"):
-            if math.isinf(d[column]):
-                d[column] = "inf"
-        return d
+        return {column: json_value(getattr(self, column)) for column in REPORT_COLUMNS}
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(CertificationReport))
+
+
+def json_value(value):
+    """``value``, or "inf"/"-inf" for an infinite float: strict JSON has no inf."""
+    return repr(value) if isinstance(value, float) and math.isinf(value) else value
 
 
 def certify(body: Body) -> CertificationReport:
@@ -177,7 +179,7 @@ def certify(body: Body) -> CertificationReport:
         eta_bif_max=bif,
         eta_green_max=green,
         eta_admissible=min(bif, green),
-        certified=c.alpha_lower > 0.0 and not c.failed,
+        certified=not c.failed,
     )
 
 
@@ -189,8 +191,6 @@ def certify_catalog(bodies) -> list:
 def _cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
     return str(value)
 
 
@@ -214,7 +214,7 @@ def reports_to_markdown(reports) -> str:
     lines = [head, sep]
     for r in reports:
         cells = [r.body_name] + [
-            ("inf" if math.isinf(v) else f"{v:.6g}")
+            f"{v:.6g}"
             for v in (
                 r.alpha_lower,
                 r.range_margin,

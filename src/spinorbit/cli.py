@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``certify`` -- evaluate the four resonance-existence conditions for every
   body of a catalog and emit one report row per body (csv/json/md).
-  Exit 0 when all selected bodies certify, 1 otherwise, 2 on input errors.
+  Exit 0 when all selected bodies certify, 1 otherwise, 2 on input errors
+  or when no body is selected.
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks).
@@ -80,6 +81,8 @@ def cmd_certify(args) -> int:
         bodies = _resolve_catalog(args.catalog)
     except (cat.CatalogError, OSError, ValueError) as exc:
         return _fail(str(exc), 2)
+    if not bodies:
+        return _fail("the catalog is empty; no bodies selected", 2)
     if args.body:
         known = {b.name.lower() for b in bodies}
         unknown = [n for n in args.body if n.lower() not in known]
@@ -118,6 +121,7 @@ def _fourier_rows(e: float, j_max: int, n_quad: int):
 def _render_fourier(rows, fmt: str) -> str:
     cols = ("j", "alpha_quadrature", "alpha_series", "remainder_bound", "within_bound")
     if fmt == "json":
+        rows = [{c: cert.json_value(v) for c, v in r.items()} for r in rows]
         return json.dumps(rows, indent=1) + "\n"
 
     def cell(v):
@@ -125,8 +129,6 @@ def _render_fourier(rows, fmt: str) -> str:
             return ""
         if isinstance(v, bool):
             return "yes" if v else "no"
-        if isinstance(v, float):
-            return repr(v)
         return str(v)
 
     if fmt == "csv":

@@ -121,11 +121,11 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     return Trajectory(t=ts, x=xs, v=vs)
 
 
-def check_resonance(trajectory_or_orbit, p: int, q: int, tol: float = 1e-9) -> float:
+def check_resonance(trajectory_or_orbit, p: int, q: int) -> float:
     """sup over sampled t of |x(t + 2 pi q) - x(t) - 2 pi p|.
 
     Accepts either a Trajectory spanning at least one resonance period
-    2 pi q (the grid must align with the period to within ``tol``) or a
+    2 pi q (the grid must align with the period to within 1e-9) or a
     constructed orbit exposing ``x_of``.
     """
     period = 2.0 * math.pi * q
@@ -139,7 +139,7 @@ def check_resonance(trajectory_or_orbit, p: int, q: int, tol: float = 1e-9) -> f
         raise DynamicsError("trajectory too short")
     h = traj.step
     offset = round(period / h)
-    if abs(offset * h - period) > tol:
+    if abs(offset * h - period) > 1e-9:
         raise DynamicsError(
             f"trajectory step {h} does not align with the period {period}"
         )
@@ -152,15 +152,15 @@ def check_resonance(trajectory_or_orbit, p: int, q: int, tol: float = 1e-9) -> f
     return float(np.max(np.abs(diffs)))
 
 
-def orbit_residual(orbit, n_samples: int = 512) -> float:
+def orbit_residual(orbit) -> float:
     """sup-norm of u'' + eta_hat (u' - nu_hat) + eps_hat V_x(xi + pt + u, qt).
 
-    Spectral evaluation on n_samples uniform nodes; zero (to solver
+    Spectral evaluation on max(512, 2N + 2) uniform nodes; zero (to solver
     tolerance) exactly when the orbit solves both the fixed-point and the
     phase equations.
     """
     params = orbit.params
-    n = max(n_samples, 2 * orbit.u.order + 2)
+    n = max(512, 2 * orbit.u.order + 2)
     t = 2.0 * np.pi * np.arange(n) / n
     u_t = orbit.u.samples(n)
     du = orbit.u.derivative(1).samples(n)

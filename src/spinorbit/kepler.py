@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+_TOL = 1e-13  # absolute residual |u - e sin(u) - t| every solve meets
 _NEWTON_CAP = 60
 _ITERATION_CAP = 200
 
@@ -33,13 +34,12 @@ class AnomalyTriple(NamedTuple):
     f: object
 
 
-def eccentric_anomaly(e, t, tol: float = 1e-13):
-    """Solve t = u - e sin(u) for the eccentric anomaly u.
+def eccentric_anomaly(e, t):
+    """Solve t = u - e sin(u) for the eccentric anomaly u, to |residual| <= 1e-13.
 
     Args:
         e: eccentricity in [0, 1).
         t: mean anomaly in radians; scalar or ndarray.
-        tol: absolute residual tolerance on |u - e sin(u) - t|.
 
     Returns:
         u with the same shape as t.
@@ -48,37 +48,32 @@ def eccentric_anomaly(e, t, tol: float = 1e-13):
         ValueError: e out of the admissible range.
         KeplerError: no convergence within the iteration cap.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if not 0.0 <= e < 1.0:
         raise ValueError(f"real eccentricity must satisfy 0 <= e < 1, got {e}")
-    t_arr = np.asarray(t, dtype=float)
-    u = _eccentric_anomaly_real(float(e), np.atleast_1d(t_arr), tol)
-    return float(u[0]) if t_arr.ndim == 0 else u.reshape(t_arr.shape)
-
-
-def _eccentric_anomaly_real(e, t, tol):
+    e = float(e)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     # Newton from u0 = t + e sin(t); quadratic once near the root.
-    u = t + e * np.sin(t)
+    u = ts + e * np.sin(ts)
     for _ in range(_NEWTON_CAP):
-        g = u - e * np.sin(u) - t
-        if np.max(np.abs(g)) <= tol:
-            return u
+        g = u - e * np.sin(u) - ts
+        if np.max(np.abs(g)) <= _TOL:
+            break
         u = u - g / (1.0 - e * np.cos(u))
-    # Stagnation (possible only for e near 1): bisection on the bracket
-    # [t - e, t + e], where g is respectively <= 0 and >= 0.
-    g = u - e * np.sin(u) - t
-    for idx in np.flatnonzero(np.abs(g) > tol):
-        u[idx] = _bisect_kepler(e, t[idx], tol)
-    return u
+    else:
+        # Stagnation (possible only for e near 1): bisection on the bracket
+        # [t - e, t + e], where g is respectively <= 0 and >= 0.
+        g = u - e * np.sin(u) - ts
+        for idx in np.flatnonzero(np.abs(g) > _TOL):
+            u[idx] = _bisect_kepler(e, ts[idx])
+    return float(u[0]) if np.ndim(t) == 0 else u.reshape(np.shape(t))
 
 
-def _bisect_kepler(e, t, tol):
+def _bisect_kepler(e, t):
     lo, hi = t - e, t + e
     for _ in range(_ITERATION_CAP):
         mid = 0.5 * (lo + hi)
         g = mid - e * math.sin(mid) - t
-        if abs(g) <= tol:
+        if abs(g) <= _TOL:
             return mid
         if g > 0.0:
             hi = mid
@@ -87,7 +82,7 @@ def _bisect_kepler(e, t, tol):
     raise KeplerError(f"bisection stagnated at e={e}, t={t}")
 
 
-def anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:
+def anomalies(e, t) -> AnomalyTriple:
     """Return (u, rho, f) at mean anomaly t.
 
     The true anomaly is computed from the half-angle arctangent formula and
@@ -95,7 +90,7 @@ def anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:
     2*pi winding count), so f is continuous in t, f(0) = 0 and f(t) - t is
     2*pi-periodic.
     """
-    u = eccentric_anomaly(e, t, tol)
+    u = eccentric_anomaly(e, t)
     rho = 1.0 - e * np.cos(u)
     winding = np.floor((u + np.pi) / (2.0 * np.pi))
     u_red = u - 2.0 * np.pi * winding

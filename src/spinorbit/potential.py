@@ -78,12 +78,12 @@ CANONICAL_ORDER = {2: 4, 3: 21}
 CANONICAL_B = {2: 0.462678, 3: 0.768368}
 
 
-def potential_fx(e, x, t, tol: float = 1e-13):
+def potential_fx(e, x, t):
     """d/dx of the potential: sin(2x - 2 f_e(t)) / rho_e(t)^3.
 
     Doubly 2*pi-periodic in (x, t); broadcasts over ndarray x and t.
     """
-    _, rho, f = anomalies(e, t, tol)
+    _, rho, f = anomalies(e, t)
     return np.sin(2.0 * np.asarray(x) - 2.0 * f) / rho**3
 
 
@@ -177,7 +177,8 @@ def remainder_bound(e: float, order: int, b: float) -> float:
         2/(1-b)^5 * ((1 + b/cosh(b) - e)(1 + cosh(b)) + 1 - b)^2
                   * (e / (b/cosh(b) - e))^(order+1),
 
-    monotone increasing in e on its domain and vanishing at e = 0.
+    monotone increasing in e on its domain and vanishing at e = 0.  It is
+    math.inf, still a bound, where the power overflows near the disk edge.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"disk parameter b must lie in (0, 1), got {b}")
@@ -193,7 +194,10 @@ def remainder_bound(e: float, order: int, b: float) -> float:
         / (1.0 - b) ** 5
         * ((1.0 + e_star - e) * (1.0 + math.cosh(b)) + 1.0 - b) ** 2
     )
-    return prefactor * (e / (e_star - e)) ** (order + 1)
+    try:
+        return prefactor * (e / (e_star - e)) ** (order + 1)
+    except OverflowError:
+        return math.inf
 
 
 def canonical_disk(j: int) -> float:

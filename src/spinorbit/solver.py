@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _RANGE_ITERATION_CAP = 2000
-_BISECTION_CAP = 200
+_COLLOCATION_MIN = 256  # fewest collocation nodes; order N gets max(4N, this)
 
 
 class SolverError(RuntimeError):
@@ -109,10 +109,10 @@ def _green_multiplier(order: int, eta_hat: float):
 
 
 class _Workspace:
-    """Cached orbit geometry on the collocation grid (fixed e, q, n)."""
+    """Cached orbit geometry on the collocation grid of truncation order N."""
 
-    def __init__(self, params: ResonanceParams, n: int):
-        self.n = n
+    def __init__(self, params: ResonanceParams, order: int):
+        self.n = n = max(4 * order, _COLLOCATION_MIN)
         t = 2.0 * np.pi * np.arange(n) / n
         self.pt = params.p * t
         _, rho, f = anomalies(params.e, params.q * t)
@@ -149,13 +149,6 @@ def _project(samples, order: int):
     c = spectrum[..., : order + 1]
     c[..., 0] = 0.0
     return c, mean
-
-
-def _collocation_size(order: int, n_coll: Optional[int]) -> int:
-    n = n_coll if n_coll is not None else max(4 * order, 256)
-    if n < 2 * order + 2:
-        raise ValueError(f"n_coll={n} too small for truncation order {order}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -235,6 +228,8 @@ def _require(params: ResonanceParams, names):
     elif failed[0] == "nonempty":
         message = (f"non-empty (topological) condition fails: margin "
                    f"{c.nonempty:.6g} <= 0")
+    elif not params.eps > 0.0:
+        message = f"eps={params.eps}: the phase equation needs eps > 0"
     else:
         message = (f"bifurcation condition fails: eta_hat={params.eta_hat:.6g}, "
                    f"ceiling {c.eta_hat_bif:.6g} from the certified "
@@ -242,7 +237,7 @@ def _require(params: ResonanceParams, names):
     raise PreconditionError(message)
 
 
-def _fixed_points(xis, params, order, tol, ws, max_iter, initial=None):
+def _fixed_points(xis, params, order, tol, ws, initial=None):
     """Fixed points u(.; xi) of the contraction at every phase of ``xis``.
 
     Iterates an (m, n) matrix of samples, one row per phase, from u = 0 (or
@@ -258,7 +253,7 @@ def _fixed_points(xis, params, order, tol, ws, max_iter, initial=None):
     coefficients = np.zeros((len(xis), order + 1), dtype=complex)
     increments = [[] for _ in xis]
     active = np.arange(len(xis))
-    for _ in range(max_iter):
+    for _ in range(_RANGE_ITERATION_CAP):
         old = samples[active]
         rhs, _ = _project(ws.neg_fx_samples(xis[active, None], old), order)
         coefficients[active] = c = (rhs * multiplier) * params.eps_hat
@@ -271,17 +266,16 @@ def _fixed_points(xis, params, order, tol, ws, max_iter, initial=None):
             break
     else:
         row = active[0]
-        raise SolverError(f"fixed-point iteration cap {max_iter} reached at xi={xis[row]:.6g} "
-                          f"(last increment {increments[row][-1]:.3e}); check N and tol")
+        raise SolverError(f"fixed-point iteration cap {_RANGE_ITERATION_CAP} reached at "
+                          f"xi={xis[row]:.6g} (last increment {increments[row][-1]:.3e}); "
+                          f"check N and tol")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
     final = ws.neg_fx_samples(xis[:, None], samples).tolist()
     return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], increments
 
 
-def solve_range(xi: float, params: ResonanceParams, N: int = 64,
-                tol: float = 1e-12, n_coll: Optional[int] = None,
-                max_iter: int = _RANGE_ITERATION_CAP,
+def solve_range(xi: float, params: ResonanceParams, N: int = 64, tol: float = 1e-12,
                 initial: Optional[PeriodicFunction] = None) -> RangeSolution:
     """Solve the fixed-point equation u = eps_hat G[-V_x(...) + mean] at xi.
 
@@ -292,9 +286,8 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
     step count.
     """
     _require(params, ("green", "range"))
-    ws = _Workspace(params, _collocation_size(N, n_coll))
     coefficients, samples, phi, increments = _fixed_points(
-        [xi], params, N, tol, ws, max_iter, initial)
+        [xi], params, N, tol, _Workspace(params, N), initial)
     return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
                          sup_norm=float(np.max(np.abs(samples[0]))),
                          iterations=len(increments[0]), increments=tuple(increments[0]),
@@ -304,7 +297,6 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64,
 def solve_bifurcation(params: ResonanceParams, N: int = 64,
                       tol_fixed_point: float = 1e-12,
                       tol_bifurcation: float = 1e-10,
-                      n_coll: Optional[int] = None,
                       scan_points: int = 64) -> ResonantOrbit:
     """Find xi* with phi(xi*) = eta_hat nu_hat / eps_hat and assemble the orbit.
 
@@ -313,22 +305,20 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
     phi contains the target.  A coarse scan over [0, 2*pi) records every
     sign-change bracket for diagnostics (existence, not uniqueness, is
     guaranteed, so several roots may coexist).  Raises PreconditionError
-    unless eps > 0 and all four conditions hold at ``params``; these are
-    the conditions ``certify`` reads, so every certified eta is accepted.
+    unless all four conditions hold at ``params`` (never at eps <= 0);
+    these are the conditions ``certify`` reads, so every certified eta is
+    accepted.
     """
-    if not params.eps > 0.0:
-        raise PreconditionError(f"eps={params.eps}: the phase equation needs eps > 0")
     _require(params, ("green", "range", "nonempty", "bifurcation"))
     target = params.eta_hat * params.nu_hat / params.eps_hat
 
-    ws = _Workspace(params, _collocation_size(N, n_coll))
+    ws = _Workspace(params, N)
     cache = {}
 
     def phi_tilde(phases):
         new = [xi for xi in dict.fromkeys(phases) if xi not in cache]
         if new:
-            coefficients, _, phi, _ = _fixed_points(
-                new, params, N, tol_fixed_point, ws, _RANGE_ITERATION_CAP)
+            coefficients, _, phi, _ = _fixed_points(new, params, N, tol_fixed_point, ws)
             cache.update((xi, (c, f - target))
                          for xi, c, f in zip(new, coefficients, phi))
         return [cache[xi][1] for xi in phases]
@@ -354,7 +344,8 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
             f"({f_lo:.3e}, {f_hi:.3e}) at (pi/4, 3pi/4)"
         )
     else:
-        for _ in range(_BISECTION_CAP):
+        # uncapped: the width test ends it within 52 halvings of pi/2
+        while True:
             mid = 0.5 * (lo + hi)
             (f_mid,) = phi_tilde([mid])
             if abs(f_mid) <= tol_bifurcation:
@@ -369,8 +360,6 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
                     f"bisection stagnated at width {hi - lo:.3e} with "
                     f"residual {f_mid:.3e} > {tol_bifurcation:.1e}"
                 )
-        else:
-            raise SolverError("bisection iteration cap reached")
 
     coefficients, residual = cache[root]
     u = PeriodicFunction(coefficients)

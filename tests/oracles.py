@@ -14,7 +14,7 @@ import numpy as np
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
 from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
-from spinorbit.solver import PeriodicFunction, _collocation_size, _green_multiplier, _project
+from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
 
 # ---------------------------------------------------- Kepler at complex e
 
@@ -62,9 +62,9 @@ def complex_anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:
 
 # ------------------------------------------------------- potential bounds
 
-def potential_fxx(e, x, t, tol: float = 1e-13):
+def potential_fxx(e, x, t):
     """d2/dx2 of the potential: 2 cos(2x - 2 f_e(t)) / rho_e(t)^3."""
-    _, rho, f = anomalies(e, t, tol)
+    _, rho, f = anomalies(e, t)
     return 2.0 * np.cos(2.0 * np.asarray(x) - 2.0 * f) / rho**3
 
 
@@ -92,7 +92,7 @@ def tidal_kernel(e, t, tol: float = 1e-13):
             u = complex_eccentric_anomaly(e, float(tv), tol)
             out[idx] = _kernel_from_u(e, u)
         return out[0] if np.ndim(t) == 0 else out
-    u = eccentric_anomaly(e, t, tol)
+    u = eccentric_anomaly(e, t)
     return _kernel_from_u(e, u)
 
 
@@ -177,7 +177,7 @@ def phi_hat(xi: float, u: PeriodicFunction, params, n_coll: Optional[int] = None
     -phi(xi) for the given u.  The composite is 2*pi-periodic in t because
     p and q are integers.
     """
-    n = _collocation_size(u.order, n_coll)
+    n = n_coll if n_coll is not None else max(4 * u.order, 256)
     t = 2.0 * np.pi * np.arange(n) / n
     values = -potential_fx(params.e, xi + params.p * t + u.samples(n), params.q * t)
     c, mean = _project(values, u.order)

@@ -75,6 +75,7 @@ def test_nonempty_margin_limits():
 
 def test_eta_max_degenerate_cases():
     assert hatted(0.0, 0.0, 1, 1, nu=1.5).eta_hat_bif == 0.0       # eps = 0
+    assert hatted(0.0, 0.0, 1, 1, nu=1.0).eta_hat_bif == 0.0       # eps = 0, nu_hat = 0
     assert hatted(0.0, 0.2, 1, 1, nu=1.5).eta_hat_bif == 0.0       # vanishing bracket
     assert math.isinf(hatted(0.0, 0.1, 1, 1, nu=1.0).eta_hat_bif)  # q nu - p = 0 sentinel
 

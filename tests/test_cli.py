@@ -44,10 +44,16 @@ def test_certify_body_filter(capsys):
     assert row["eta_admissible"] >= 0.001
 
 
-def test_certify_empty_filter_exit_two(capsys):
-    code, _, err = run_cli(capsys, "certify", "--body", "Vulcan")
-    assert code == 2
-    assert "no bodies selected" in err
+def test_certify_empty_filter_exit_two(capsys, tmp_path):
+    # an unmatched --body, a header-only CSV and an empty JSON array
+    (tmp_path / "header.csv").write_text("name,primary,a_km,b_km,c_km,e,p,q\n")
+    (tmp_path / "empty.json").write_text("[]")
+    for argv in (("--body", "Vulcan"), ("--catalog", str(tmp_path / "header.csv")),
+                 ("--catalog", str(tmp_path / "empty.json"))):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "no bodies selected" in err
 
 
 def test_certify_unknown_body_among_known_exit_two(capsys):
@@ -103,6 +109,35 @@ def test_fourier_outside_disk_marks_unavailable(capsys):
         assert row["alpha_series"] is None
         assert row["remainder_bound"] is None
         assert row["alpha_quadrature"] is not None
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# the 3:2 remainder power overflows for the floats just below the disk edge
+EDGE_E = "0.5865373882183372"
+
+
+def test_certify_overflowing_remainder_is_a_strict_no(capsys, tmp_path):
+    row = tmp_path / "row.csv"
+    row.write_text(f"name,primary,a_km,b_km,c_km,e,p,q\nEdge,P,100.0,99.0,99.0,{EDGE_E},3,2\n")
+    code, out, _ = run_cli(capsys, "certify", "--catalog", str(row), "--format", "json")
+    assert code == 1
+    (report,) = _strict_json(out)
+    assert report["alpha_lower"] == "-inf" and report["certified"] is False
+    for fmt in ("csv", "md"):
+        code, out, _ = run_cli(capsys, "certify", "--catalog", str(row), "--format", fmt)
+        assert code == 1 and "-inf" in out
+
+
+def test_fourier_overflowing_remainder_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "fourier", EDGE_E, "--jmax", "3", "--format", "json")
+    assert code == 0
+    row3 = _strict_json(out)[2]
+    assert row3["remainder_bound"] == "inf" and row3["within_bound"] is True
 
 
 def test_fourier_mercury_cross_check(capsys):

@@ -325,10 +325,12 @@ def test_bifurcation_at_boundary_target():
 
 
 def test_solver_accepts_exactly_the_certified_etas():
-    # for in-disk bodies with eps > 0, solve_bifurcation accepts params iff
-    # certify says certified and eta <= eta_admissible, the ceiling included
+    # for in-disk bodies, solve_bifurcation accepts params iff certify says
+    # certified and eta <= eta_admissible, the ceiling included; a round
+    # body (eps = 0, nu_hat = 0) is neither
     rng = np.random.default_rng(2)
-    bodies = [Body("Test", "P", 100.0, 99.6779, 99.6779, 0.0567, 3, 2)]
+    bodies = [Body("Test", "P", 100.0, 99.6779, 99.6779, 0.0567, 3, 2),
+              Body("Round", "P", 100.0, 100.0, 100.0, 0.0, 1, 1)]
     for i in range(32):
         p, q = ((1, 1), (3, 2))[i % 2]
         e = float(rng.uniform(0.0, 0.085 if q == 1 else 0.215))
@@ -426,7 +428,7 @@ def _bifurcation_reference(params, N, scan_points=64, tol_fixed_point=1e-12,
                            tol_bifurcation=1e-10):
     """(xi_star, u, residual, sign_changes, xi_average, phi by phase)."""
     target = params.eta_hat * params.nu_hat / params.eps_hat
-    ws = solver._Workspace(params, max(4 * N, 256))
+    ws = solver._Workspace(params, N)
     cache = {}
 
     def phi_tilde(xi):
@@ -499,12 +501,14 @@ def test_batched_solve_matches_per_phase_reference(monkeypatch):
             assert all(seen[xi] == phis[xi] for xi in phis), case
 
 
-def test_batched_scan_refuses_unresolved_spectrum():
+def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
+    monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
     for scan_points in (64, 0):
         with pytest.raises(AliasingError):
-            solve_bifurcation(mercury_params(), N=2, n_coll=8, scan_points=scan_points)
+            solve_bifurcation(mercury_params(), N=2, scan_points=scan_points)
 
 
-def test_solve_range_iteration_cap():
+def test_solve_range_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "_RANGE_ITERATION_CAP", 1)
     with pytest.raises(SolverError):
-        solve_range(0.1, moon_params(), max_iter=1)
+        solve_range(0.1, moon_params())
