@@ -4,9 +4,9 @@ The package checks, for Solar-system bodies locked in a 1:1 or 3:2
 spin-orbit resonance, four explicit inequality conditions that guarantee
 the existence of a resonant periodic rotation in the dissipative
 spin-orbit model, and constructs the orbit itself by a spectral
-fixed-point iteration combined with a one-dimensional bisection for the
-resonance phase.  A fixed-step Runge-Kutta integrator serves as an
-independent cross-check.
+fixed-point iteration combined with a one-dimensional bracketed root
+search for the resonance phase.  A fixed-step Runge-Kutta integrator
+serves as an independent cross-check.
 """
 
 from .catalog import (

@@ -11,8 +11,9 @@ and a scalar ("bifurcation") equation
 
     phi(xi) := <V_x(xi + p t + u(t; xi), q t)> = eta_hat nu_hat / eps_hat
 
-for the phase xi, solved by bisection on a bracket around the extremizers
-of the leading term -2 alpha_j sin(2 xi); phases are solved in batches.
+for the phase xi, solved by a bracketed root search (regula falsi with a
+halving safeguard) on a bracket around the extremizers of the leading term
+-2 alpha_j sin(2 xi); phases are solved in batches.
 
 All operations are pure; a solve is deterministic for fixed inputs.
 """
@@ -81,12 +82,18 @@ class PeriodicFunction:
         return _synthesize(self.coefficients, n)
 
     def evaluate(self, t):
-        """Pointwise evaluation at arbitrary (scalar or array) t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.arange(1, self.order + 1)
-        phases = np.exp(1j * np.outer(k, t_arr))
-        vals = 2.0 * np.real(self.coefficients[1:] @ phases)
-        return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
+        """Pointwise evaluation at arbitrary (scalar or array) t.
+
+        Horner's rule in z = exp(i t): one exponential per point and N
+        multiply-adds, 2 Re(((c_N z + c_{N-1}) z + ...) z).
+        """
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        acc = np.zeros(np.shape(z), dtype=complex)
+        for c in self.coefficients[:0:-1]:
+            acc += c
+            acc *= z
+        vals = 2.0 * acc.real
+        return float(vals) if np.ndim(t) == 0 else vals
 
     def derivative(self, order: int = 1) -> "PeriodicFunction":
         k = np.arange(len(self.coefficients))
@@ -294,20 +301,58 @@ def solve_range(xi: float, params: ResonanceParams, N: int = 64, tol: float = 1e
                          phi=phi[0])
 
 
+def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
+    """A point x of [lo, hi] with |f(x)| <= tol, given f_lo = f(lo) and
+    f_hi = f(hi) of opposite signs.
+
+    Anderson-Bjorck regula falsi that always keeps the sign bracket: a step
+    outside the open bracket, or one after three steps that together did
+    not halve it, is replaced by the midpoint.  Raises SolverError once the
+    bracket is narrower than 1e-15; for |lo|, |hi| < 4, as for the phase
+    bracket, a wider bracket is at least three units in the last place
+    wide, so its midpoint lies strictly inside.
+    """
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi  # b is the latest point
+    widths = []
+    while True:
+        width = abs(b - a)
+        if width < 1e-15:
+            raise SolverError(f"root search stagnated at width {width:.3e} with "
+                              f"residual {f_b:.3e} > {tol:.1e}")
+        widths.append(width)
+        x = b - f_b * (b - a) / (f_b - f_a)
+        secant = min(a, b) < x < max(a, b) and not (
+            len(widths) > 3 and width > 0.5 * widths[-4])
+        if not secant:
+            x = 0.5 * (a + b)
+        f_x = f(x)
+        if abs(f_x) <= tol:
+            return x
+        if (f_x < 0.0) != (f_b < 0.0):
+            a, f_a = b, f_b
+        elif secant:
+            # the same end is kept again: scale its value down so the next
+            # secant moves it (Anderson & Bjorck, BIT 13 (1973) 253)
+            m = 1.0 - f_x / f_b
+            f_a *= m if m > 0.0 else 0.5
+        b, f_b = x, f_x
+
+
 def solve_bifurcation(params: ResonanceParams, N: int = 64,
                       tol_fixed_point: float = 1e-12,
                       tol_bifurcation: float = 1e-10,
                       scan_points: int = 64) -> ResonantOrbit:
     """Find xi* with phi(xi*) = eta_hat nu_hat / eps_hat and assemble the orbit.
 
-    Bisects phi - target on [pi/4, 3*pi/4], the bracket between the
+    Roots phi - target on [pi/4, 3*pi/4], the bracket between the
     extremizers of the leading term of phi, where the certified range of
-    phi contains the target.  A coarse scan over [0, 2*pi) records every
-    sign-change bracket for diagnostics (existence, not uniqueness, is
-    guaranteed, so several roots may coexist).  Raises PreconditionError
-    unless all four conditions hold at ``params`` (never at eps <= 0);
-    these are the conditions ``certify`` reads, so every certified eta is
-    accepted.
+    phi contains the target; the search (``_bracketed_root``) keeps a sign
+    change bracketed at every step, so the root stays in that interval.  A
+    coarse scan over [0, 2*pi) records every sign-change bracket for
+    diagnostics (existence, not uniqueness, is guaranteed, so several roots
+    may coexist).  Raises PreconditionError unless all four conditions hold
+    at ``params`` (never at eps <= 0); these are the conditions ``certify``
+    reads, so every certified eta is accepted.
     """
     _require(params, ("green", "range", "nonempty", "bifurcation"))
     target = params.eta_hat * params.nu_hat / params.eps_hat
@@ -344,27 +389,13 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
             f"({f_lo:.3e}, {f_hi:.3e}) at (pi/4, 3pi/4)"
         )
     else:
-        # uncapped: the width test ends it within 52 halvings of pi/2
-        while True:
-            mid = 0.5 * (lo + hi)
-            (f_mid,) = phi_tilde([mid])
-            if abs(f_mid) <= tol_bifurcation:
-                root = mid
-                break
-            if f_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                raise SolverError(
-                    f"bisection stagnated at width {hi - lo:.3e} with "
-                    f"residual {f_mid:.3e} > {tol_bifurcation:.1e}"
-                )
+        root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
+                               tol_bifurcation)
 
     coefficients, residual = cache[root]
     u = PeriodicFunction(coefficients)
     # the time-average normalization (mean of x(q t) - p t) coincides with
-    # the bisection root because u has zero average by construction
+    # the root because u has zero average by construction
     xi_average = root + float(np.mean(u.samples(ws.n)))
     return ResonantOrbit(
         params=params,

@@ -1,6 +1,7 @@
 """Test references the package does not ship: the Kepler solve at complex e,
 alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
-the Green operator and PeriodicFunction arithmetic.
+the Green operator, PeriodicFunction arithmetic and its evaluation through
+an exponential matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code.  Pytest does not collect this module."""
@@ -142,6 +143,16 @@ def from_samples(values, order: int) -> PeriodicFunction:
     c = np.zeros(order + 1, dtype=complex)
     c[1:] = spectrum[1 : order + 1]
     return PeriodicFunction(c)
+
+
+def evaluate_matrix(v: PeriodicFunction, t):
+    """v at scalar or array t through the (N x M) matrix exp(i k t), the form
+    ``PeriodicFunction.evaluate`` had before it used Horner's rule."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    k = np.arange(1, v.order + 1)
+    phases = np.exp(1j * np.outer(k, t_arr))
+    vals = 2.0 * np.real(v.coefficients[1:] @ phases)
+    return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
 
 
 def sup_norm(v: PeriodicFunction, n: Optional[int] = None) -> float:

@@ -218,6 +218,17 @@ def test_orbit_residual_over_tolerance_refused(capsys, argv):
     assert "orbit residual" in err and "1e-09" in err and "--modes" in err
 
 
+def test_orbit_root_search_stagnation_exit_one(capsys):
+    # no phase meets a residual of 1e-300: the root search gives up once its
+    # bracket is narrower than 1e-15, and the command says so
+    code, out, err = run_cli(capsys, "orbit", "Moon", "--eta", "0.004",
+                             "--tol-bifurcation", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: root search stagnated at width ")
+    assert "Traceback" not in err
+
+
 def test_orbit_unknown_body_exit_two(capsys):
     code, _, err = run_cli(capsys, "orbit", "Vulcan")
     assert code == 2

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (difference, from_samples, fx_sup_bound, fxx_sup_bound, green_apply,
-                     phi_hat, scaled, sup_norm, zero)
+from oracles import (difference, evaluate_matrix, from_samples, fx_sup_bound, fxx_sup_bound,
+                     green_apply, phi_hat, scaled, sup_norm, zero)
 from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions, green_norm_bound
@@ -56,6 +56,25 @@ def test_evaluate_matches_samples():
     n = 32
     grid = 2.0 * math.pi * np.arange(n) / n
     assert np.allclose(v.evaluate(grid), v.samples(n), atol=1e-13)
+
+
+def test_evaluate_matches_matrix_reference():
+    # Horner in exp(i t) against the exponential matrix, on Mercury's
+    # 8193-point RK4 grid over one resonance period
+    params = mercury_params()
+    u = solve_bifurcation(params, N=128, scan_points=0).u
+    t = 2.0 * math.pi * np.arange(8193) / 8192
+    assert np.max(np.abs(u.evaluate(t) - evaluate_matrix(u, t))) <= 1e-15
+
+
+def test_evaluate_keeps_the_shape_of_t():
+    v = random_zero_mean(np.random.default_rng(7), 9)
+    value = v.evaluate(0.3)
+    assert type(value) is float
+    assert value == pytest.approx(evaluate_matrix(v, 0.3), abs=1e-13)
+    t = np.linspace(0.0, 7.0, 12).reshape(3, 4)
+    assert v.evaluate(t).shape == (3, 4)
+    assert np.allclose(v.evaluate(t), evaluate_matrix(v, t), atol=1e-13)
 
 
 def test_derivative_and_arithmetic():
@@ -389,7 +408,9 @@ def test_orbit_export_round_trip():
 #
 # Reference: the scalar solver as it was before the phases were batched --
 # one fixed-point loop per phase on PeriodicFunction values, driven by the
-# same scan and bisection.  solve_bifurcation must reproduce it bit for bit.
+# same scan and by bisection.  Every phase solve of solve_bifurcation must
+# reproduce it bit for bit; its root agrees with the bisection root to
+# within 1e-9.
 
 
 def _project_reference(samples, order):
@@ -424,53 +445,52 @@ def _solve_range_reference(xi, params, order, tol, ws, max_iter):
     return u, -float(math.fsum(ws.neg_fx_samples(xi, u_samples)) / ws.n)
 
 
-def _bifurcation_reference(params, N, scan_points=64, tol_fixed_point=1e-12,
-                           tol_bifurcation=1e-10):
-    """(xi_star, u, residual, sign_changes, xi_average, phi by phase)."""
-    target = params.eta_hat * params.nu_hat / params.eps_hat
+def _phase_reference(params, N, tol_fixed_point=1e-12):
+    """Cached per-phase solve xi -> (u, phi(xi)), and the workspace."""
     ws = solver._Workspace(params, N)
     cache = {}
 
-    def phi_tilde(xi):
+    def solve(xi):
         if xi not in cache:
-            u, phi = _solve_range_reference(xi, params, N, tol_fixed_point, ws, 2000)
-            cache[xi] = (u, phi)
-        return cache[xi][1] - target
+            cache[xi] = _solve_range_reference(xi, params, N, tol_fixed_point, ws, 2000)
+        return cache[xi]
 
+    return solve, ws
+
+
+def _bifurcation_reference(solve, target, scan_points=64, tol_bifurcation=1e-10):
+    """(bisection root, sign_changes) of phi - target from the per-phase solve."""
     grid = 2.0 * np.pi * np.arange(scan_points) / scan_points
-    vals = [phi_tilde(float(g)) for g in grid]
+    vals = [solve(float(g))[1] - target for g in grid]
     sign_changes = tuple(
         (float(grid[i]), float(grid[(i + 1) % scan_points]))
         for i in range(scan_points)
         if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[(i + 1) % scan_points] < 0.0)
     )
     lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
-    f_lo, f_hi = phi_tilde(lo), phi_tilde(hi)
+    f_lo, f_hi = solve(lo)[1] - target, solve(hi)[1] - target
     if abs(f_lo) <= tol_bifurcation:
-        root = lo
-    elif abs(f_hi) <= tol_bifurcation:
-        root = hi
-    else:
-        assert f_lo > 0.0 > f_hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = phi_tilde(mid)
-            if abs(f_mid) <= tol_bifurcation:
-                root = mid
-                break
-            lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
-        else:
-            pytest.fail("reference bisection did not converge")
-    u, phi = cache[root]
-    xi_average = root + float(np.mean(u.samples(ws.n)))
-    phis = {xi: value for xi, (_, value) in cache.items()}
-    return root, u, abs(phi - target), sign_changes, xi_average, phis
+        return lo, sign_changes
+    if abs(f_hi) <= tol_bifurcation:
+        return hi, sign_changes
+    assert f_lo > 0.0 > f_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = solve(mid)[1] - target
+        if abs(f_mid) <= tol_bifurcation:
+            return mid, sign_changes
+        lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
+    pytest.fail("reference bisection did not converge")
 
 
-def test_batched_solve_matches_per_phase_reference(monkeypatch):
+def _certified_bodies():
     bodies = [b for b in bundled_catalog("all") + bundled_catalog("minor")
               if certify(b).certified]
     assert len(bodies) == 21
+    return bodies
+
+
+def test_batched_solve_matches_per_phase_reference(monkeypatch):
     grid = (2.0 * np.pi * np.arange(64) / 64).tolist()
     kernel = solver._fixed_points
     seen = {}
@@ -481,24 +501,84 @@ def test_batched_solve_matches_per_phase_reference(monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "_fixed_points", recording_kernel)
-    for body in bodies:
+    for body in _certified_bodies():
         cap = certify(body).eta_admissible
         modes = 64 if body.q == 1 else 128
         for eta in (0.0, 0.5 * cap, cap):
             params = ResonanceParams.from_body(body, eta=eta)
+            target = params.eta_hat * params.nu_hat / params.eps_hat
             seen.clear()
             orbit = solve_bifurcation(params, N=modes)
-            root, u, residual, sign_changes, xi_average, phis = _bifurcation_reference(
-                params, modes)
+            solve, ws = _phase_reference(params, modes)
+            root, sign_changes = _bifurcation_reference(solve, target)
             case = (body.name, eta)
-            assert orbit.xi_star == root, case
+            # the root: near bisection's, inside the bracket, within tolerance
+            assert abs(orbit.xi_star - root) <= 1e-9, case
+            assert math.pi / 4.0 <= orbit.xi_star <= 3.0 * math.pi / 4.0, case
+            assert orbit.bifurcation_residual <= 1e-10, case
             assert orbit.sign_changes == sign_changes, case
+            # the orbit is the per-phase solve at that root
+            u, phi = solve(orbit.xi_star)
             assert np.array_equal(orbit.u.coefficients, u.coefficients), case
-            assert orbit.bifurcation_residual == residual, case
-            assert orbit.xi_average == xi_average, case
+            assert orbit.bifurcation_residual == abs(phi - target), case
+            assert orbit.xi_average == orbit.xi_star + float(np.mean(u.samples(ws.n))), case
             # every phase solved, the 64 scan phases included, gives the same phi
-            assert set(grid) <= set(seen) and set(seen) == set(phis), case
-            assert all(seen[xi] == phis[xi] for xi in phis), case
+            assert set(grid) <= set(seen), case
+            assert all(seen[xi] == solve(xi)[1] for xi in seen), case
+
+
+def test_root_search_makes_few_kernel_calls(monkeypatch):
+    # the scan plus a handful of one-row solves; bisection made ~30
+    kernel = solver._fixed_points
+    calls = []
+
+    def counting_kernel(*args, **kwargs):
+        calls[-1] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fixed_points", counting_kernel)
+    for body in _certified_bodies():
+        cap = certify(body).eta_admissible
+        for eta in (0.5 * cap, cap):
+            calls.append(0)
+            solve_bifurcation(ResonanceParams.from_body(body, eta=eta),
+                              N=64 if body.q == 1 else 128)
+    assert len(calls) == 42
+    assert max(calls) <= 10 and sum(calls) / len(calls) <= 6.0, calls
+
+
+def test_root_search_safeguard_bounds_regula_falsi():
+    # plain Anderson-Bjorck creeps on this curve (tens of thousands of
+    # steps); the halving fallback needs a dozen
+    evaluations = []
+
+    def f(x):
+        evaluations.append(x)
+        return math.exp(-30.0 * x) - 1e-6
+
+    root = solver._bracketed_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-14)
+    assert 0.0 < root < 1.0 and abs(f(root)) <= 1e-14
+    assert len(evaluations) - 3 <= 20
+    assert all(0.0 < x < 1.0 for x in evaluations[2:])
+
+
+def test_root_search_returns_an_exact_zero_at_a_midpoint():
+    # the secant point rounds onto hi, so the first step is the midpoint,
+    # where f is exactly zero
+    evaluations = []
+
+    def f(x):
+        evaluations.append(x)
+        return 1.0 if x < 0.5 else 0.0 if x == 0.5 else -1e-20
+
+    assert solver._bracketed_root(f, 0.0, 1.0, 1.0, -1e-20, 0.0) == 0.5
+    assert evaluations == [0.5]
+    assert solver._bracketed_root(lambda x: 1.0 - 2.0 * x, 0.0, 1.0, 1.0, -1.0, 0.0) == 0.5
+
+
+def test_root_search_stagnation_names_the_width():
+    with pytest.raises(SolverError, match=r"root search stagnated at width \d"):
+        solve_bifurcation(moon_params(eta=0.004), tol_bifurcation=1e-300)
 
 
 def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
