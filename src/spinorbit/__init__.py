@@ -30,7 +30,7 @@ from .certification import (
     green_eta_cap,
     green_norm_bound,
 )
-from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual, rhs
+from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual
 from .kepler import AnomalyTriple, KeplerError, anomalies, eccentric_anomaly
 from .potential import (
     alpha_lower_bound,

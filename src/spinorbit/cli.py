@@ -155,11 +155,6 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.modes is not None and args.modes < 1:
-        return _fail("--modes must be >= 1", 2)
-    for tol in (args.tol_fixed_point, args.tol_bifurcation):
-        if not (math.isfinite(tol) and tol > 0):
-            return _fail("tolerances must be positive and finite", 2)
     if not (math.isfinite(args.eta) and args.eta >= 0):
         return _fail("--eta must be finite and >= 0", 2)
     if args.samples < 2:
@@ -174,25 +169,16 @@ def cmd_orbit(args) -> int:
     body = matches[0]
 
     params = cat.ResonanceParams.from_body(body, eta=args.eta)
-    modes = args.modes or (64 if body.q == 1 else 128)
     try:
-        orbit = solver.solve_bifurcation(
-            params,
-            N=modes,
-            tol_fixed_point=args.tol_fixed_point,
-            tol_bifurcation=args.tol_bifurcation,
-        )
+        orbit = solver.solve_bifurcation(params)
     except solver.PreconditionError as exc:
         return _fail(f"{body.name} not certified at eta={args.eta}: {exc}", 1)
     except (solver.SolverError, solver.AliasingError) as exc:
         return _fail(str(exc), 1)
     residual = dynamics.orbit_residual(orbit)
     if not residual <= _ORBIT_TOLERANCE:
-        return _fail(
-            f"orbit residual {residual:.3e} exceeds the tolerance "
-            f"{_ORBIT_TOLERANCE:g}; raise --modes or tighten the solver tolerances",
-            1,
-        )
+        return _fail(f"orbit residual {residual:.3e} exceeds the tolerance "
+                     f"{_ORBIT_TOLERANCE:g}", 1)
 
     payload = orbit.to_dict(n_samples=args.samples)
     payload["orbit_residual"] = residual
@@ -242,13 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("body", help="body name from the catalog")
     p_orb.add_argument("--eta", type=float, default=0.0,
                        help="dissipation parameter (default 0)")
-    p_orb.add_argument("--modes", type=int, default=None,
-                       help="Fourier truncation order (default 64, or 128 "
-                            "for the 3:2 case)")
     p_orb.add_argument("--samples", type=int, default=256,
                        help="number of exported x(t) samples (default 256)")
-    p_orb.add_argument("--tol-fixed-point", type=float, default=1e-12)
-    p_orb.add_argument("--tol-bifurcation", type=float, default=1e-10)
 
     for p in (p_cert, p_four, p_orb):
         p.add_argument("--out", default=None, help="write output to a file")

@@ -26,7 +26,6 @@ __all__ = [
     "SpinState",
     "Trajectory",
     "DynamicsError",
-    "rhs",
     "integrate",
     "check_resonance",
     "orbit_residual",
@@ -62,14 +61,6 @@ class Trajectory:
     @property
     def step(self) -> float:
         return float(self.t[1] - self.t[0])
-
-
-def rhs(state: SpinState, params: ResonanceParams):
-    """(dx/dt, dv/dt) of the first-order system at the given state."""
-    dv = -params.eta * (state.v - params.nu) - params.eps * float(
-        potential_fx(params.e, state.x, state.t)
-    )
-    return state.v, dv
 
 
 def integrate(initial: SpinState, t_end: float, params: ResonanceParams,

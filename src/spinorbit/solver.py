@@ -37,6 +37,11 @@ __all__ = [
 
 _RANGE_ITERATION_CAP = 2000
 _COLLOCATION_MIN = 256  # fewest collocation nodes; order N gets max(4N, this)
+# the orbit's numerical policy: truncation order N by q (1:1 and 3:2), the
+# fixed-point increment and the phase-equation residual at which to stop
+_MODES = {1: 64, 2: 128}
+_TOL_FIXED_POINT = 1e-12
+_TOL_BIFURCATION = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -244,14 +249,15 @@ def _require(params: ResonanceParams, names):
     raise PreconditionError(message)
 
 
-def _fixed_points(xis, params, order, tol, ws, initial=None):
+def _fixed_points(xis, params, order, ws, initial=None):
     """Fixed points u(.; xi) of the contraction at every phase of ``xis``.
 
     Iterates an (m, n) matrix of samples, one row per phase, from u = 0 (or
     ``initial``); only the rows still moving are transformed, and a row is
-    frozen once its sup-norm increment is <= tol.  A row's arithmetic is
-    that of a lone solve, so batching changes no bit.  Returns the modes
-    0..order (m, order+1), the samples (m, n), phi and the increments.
+    frozen once its sup-norm increment is <= _TOL_FIXED_POINT.  A row's
+    arithmetic is that of a lone solve, so batching changes no bit.
+    Returns the modes 0..order (m, order+1), the samples (m, n), phi and
+    the increments.
     """
     xis = np.asarray(xis, dtype=float)
     multiplier = _green_multiplier(order, params.eta_hat)
@@ -268,33 +274,35 @@ def _fixed_points(xis, params, order, tol, ws, initial=None):
         step = np.max(np.abs(new - old), axis=-1)
         for row, value in zip(active.tolist(), step.tolist()):
             increments[row].append(value)
-        active = active[~(step <= tol)]
+        active = active[~(step <= _TOL_FIXED_POINT)]
         if not len(active):
             break
     else:
         row = active[0]
         raise SolverError(f"fixed-point iteration cap {_RANGE_ITERATION_CAP} reached at "
                           f"xi={xis[row]:.6g} (last increment {increments[row][-1]:.3e}); "
-                          f"check N and tol")
+                          f"check N")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
     final = ws.neg_fx_samples(xis[:, None], samples).tolist()
     return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], increments
 
 
-def solve_range(xi: float, params: ResonanceParams, N: int = 64, tol: float = 1e-12,
+def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
                 initial: Optional[PeriodicFunction] = None) -> RangeSolution:
     """Solve the fixed-point equation u = eps_hat G[-V_x(...) + mean] at xi.
 
-    Iterates from u = 0 (or ``initial``); geometric convergence with ratio
-    at most (5/2) eps_hat sup|V_xx| < 1 under the range condition, which is
-    checked (with the Green-norm condition) before iterating.  The fixed
-    point is unique in its ball, so the starting iterate only affects the
-    step count.
+    Iterates from u = 0 (or ``initial``) until the sup-norm increment is
+    <= 1e-12; geometric convergence with ratio at most (5/2) eps_hat
+    sup|V_xx| < 1 under the range condition, which is checked (with the
+    Green-norm condition) before iterating.  The fixed point is unique in
+    its ball, so the starting iterate only affects the step count.  The
+    truncation order N defaults to 64 for 1:1 and 128 for 3:2.
     """
     _require(params, ("green", "range"))
+    N = _MODES[params.q] if N is None else N
     coefficients, samples, phi, increments = _fixed_points(
-        [xi], params, N, tol, _Workspace(params, N), initial)
+        [xi], params, N, _Workspace(params, N), initial)
     return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
                          sup_norm=float(np.max(np.abs(samples[0]))),
                          iterations=len(increments[0]), increments=tuple(increments[0]),
@@ -338,9 +346,7 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
         b, f_b = x, f_x
 
 
-def solve_bifurcation(params: ResonanceParams, N: int = 64,
-                      tol_fixed_point: float = 1e-12,
-                      tol_bifurcation: float = 1e-10,
+def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
                       scan_points: int = 64) -> ResonantOrbit:
     """Find xi* with phi(xi*) = eta_hat nu_hat / eps_hat and assemble the orbit.
 
@@ -350,11 +356,16 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
     change bracketed at every step, so the root stays in that interval.  A
     coarse scan over [0, 2*pi) records every sign-change bracket for
     diagnostics (existence, not uniqueness, is guaranteed, so several roots
-    may coexist).  Raises PreconditionError unless all four conditions hold
-    at ``params`` (never at eps <= 0); these are the conditions ``certify``
-    reads, so every certified eta is accepted.
+    may coexist).  The root meets |phi - target| <= 1e-10, each phase's
+    fixed point is solved as in ``solve_range``, and N defaults to 64 for
+    1:1 and 128 for 3:2; with these settings the orbit residual of the
+    certified bodies measured stays far below 1e-9.  Raises
+    PreconditionError unless all four conditions hold at ``params`` (never
+    at eps <= 0); these are the conditions ``certify`` reads, so every
+    certified eta is accepted.
     """
     _require(params, ("green", "range", "nonempty", "bifurcation"))
+    N = _MODES[params.q] if N is None else N
     target = params.eta_hat * params.nu_hat / params.eps_hat
 
     ws = _Workspace(params, N)
@@ -363,7 +374,7 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
     def phi_tilde(phases):
         new = [xi for xi in dict.fromkeys(phases) if xi not in cache]
         if new:
-            coefficients, _, phi, _ = _fixed_points(new, params, N, tol_fixed_point, ws)
+            coefficients, _, phi, _ = _fixed_points(new, params, N, ws)
             cache.update((xi, (c, f - target))
                          for xi, c, f in zip(new, coefficients, phi))
         return [cache[xi][1] for xi in phases]
@@ -379,9 +390,9 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
         if a == 0.0 or (a < 0.0) != (b < 0.0):
             sign_changes.append((grid[i], grid[(i + 1) % scan_points]))
 
-    if abs(f_lo) <= tol_bifurcation:
+    if abs(f_lo) <= _TOL_BIFURCATION:
         root = lo
-    elif abs(f_hi) <= tol_bifurcation:
+    elif abs(f_hi) <= _TOL_BIFURCATION:
         root = hi
     elif f_lo < 0.0 or f_hi > 0.0:
         raise SolverError(
@@ -390,7 +401,7 @@ def solve_bifurcation(params: ResonanceParams, N: int = 64,
         )
     else:
         root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
-                               tol_bifurcation)
+                               _TOL_BIFURCATION)
 
     coefficients, residual = cache[root]
     u = PeriodicFunction(coefficients)

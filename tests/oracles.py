@@ -1,7 +1,8 @@
 """Test references the package does not ship: the Kepler solve at complex e,
 alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
-the Green operator, PeriodicFunction arithmetic and its evaluation through
-an exponential matrix.
+the right-hand side of the spin equation at one state, the Green operator,
+PeriodicFunction arithmetic and its evaluation through an exponential
+matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code.  Pytest does not collect this module."""
@@ -12,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from spinorbit.dynamics import SpinState
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
 from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
@@ -77,6 +79,14 @@ def fx_sup_bound(e: float) -> float:
 def fxx_sup_bound(e: float) -> float:
     """sup over the (x, t) torus of |V_xx|, bounded by 2/(1-e)^3."""
     return 2.0 / (1.0 - e) ** 3
+
+
+def rhs(state: SpinState, params):
+    """(dx/dt, dv/dt) of the first-order spin system at the given state."""
+    dv = -params.eta * (state.v - params.nu) - params.eps * float(
+        potential_fx(params.e, state.x, state.t)
+    )
+    return state.v, dv
 
 
 def tidal_kernel(e, t, tol: float = 1e-13):

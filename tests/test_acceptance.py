@@ -18,6 +18,7 @@ import pytest
 
 from oracles import (complex_eccentric_anomaly, difference, fx_sup_bound, fxx_sup_bound,
                      green_apply, scaled, sup_norm)
+from spinorbit import solver
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.certification import (
     GREEN_ETA_HAT_MAX,
@@ -56,10 +57,6 @@ def two_significant_digits(value, expected):
         return value == 0.0
     scale = 10.0 ** (math.floor(math.log10(abs(expected))) - 1)
     return abs(value - expected) <= 0.5 * scale
-
-
-def auto_modes(body):
-    return 64 if body.q == 1 else 128
 
 
 def test_criterion_1_all_moons_certify():
@@ -198,7 +195,7 @@ def test_criterion_8_constructive_solutions_across_catalog():
         cap = certify(body).eta_admissible
         for eta in (0.0, cap):
             params = ResonanceParams.from_body(body, eta=eta)
-            orbit = solve_bifurcation(params, N=auto_modes(body), scan_points=0)
+            orbit = solve_bifurcation(params, scan_points=0)
             residual = orbit_residual(orbit)
             assert residual <= 1e-9, (body.name, eta, residual)
             ball = 2.5 * params.eps_hat / (1.0 - params.e) ** 3
@@ -231,15 +228,15 @@ def test_criterion_9_fixed_point_uniqueness_and_contraction():
     tol = 1e-12
     for body, eta in cases:
         params = ResonanceParams.from_body(body, eta=eta)
-        modes = auto_modes(body)
+        modes = solver._MODES[body.q]
         radius = 2.5 * params.eps_hat * fx_sup_bound(params.e)
         start_coeffs = np.zeros(modes + 1, dtype=complex)
         start_coeffs[1:9] = rng.normal(size=8) + 1j * rng.normal(size=8)
         start = PeriodicFunction(start_coeffs)
         start = scaled(start, radius / sup_norm(start))
 
-        a = solve_range(0.6, params, N=modes, tol=tol)
-        b = solve_range(0.6, params, N=modes, tol=tol, initial=start)
+        a = solve_range(0.6, params)
+        b = solve_range(0.6, params, initial=start)
         assert sup_norm(difference(a.u, b.u)) <= 10.0 * tol, body.name
 
         rate_bound = 2.5 * params.eps_hat * fxx_sup_bound(params.e) + 1e-3

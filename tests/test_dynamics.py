@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scaled, zero
+from oracles import rhs, scaled, zero
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.dynamics import (
     DynamicsError,
@@ -13,7 +13,6 @@ from spinorbit.dynamics import (
     check_resonance,
     integrate,
     orbit_residual,
-    rhs,
 )
 from spinorbit.solver import ResonantOrbit, solve_bifurcation
 from test_kepler import bisect_oracle

@@ -229,7 +229,7 @@ def test_solve_range_ball_containment_and_rate():
 def test_solve_range_fixed_point_residual():
     params = mercury_params(eta=0.001)
     tol = 1e-12
-    sol = solve_range(1.1, params, N=128, tol=tol)
+    sol = solve_range(1.1, params, N=128)
     pf, _ = phi_hat(1.1, sol.u, params)
     image = scaled(green_apply(pf, params.eta_hat), params.eps_hat)
     assert sup_norm(difference(image, sol.u)) <= 2.0 * tol
@@ -242,8 +242,8 @@ def test_solve_range_unique_fixed_point_from_two_starts():
         radius = 2.5 * params.eps_hat * fx_sup_bound(params.e)
         start = random_zero_mean(rng, 16)
         start = scaled(start, radius / sup_norm(start))
-        a = solve_range(0.4, params, tol=tol)
-        b = solve_range(0.4, params, tol=tol, initial=start)
+        a = solve_range(0.4, params)
+        b = solve_range(0.4, params, initial=start)
         assert sup_norm(difference(a.u, b.u)) <= 10.0 * tol
 
 
@@ -262,9 +262,8 @@ def test_solution_ball_across_certified_catalog():
     for body in bodies:
         params = ResonanceParams.from_body(body)
         radius = 2.5 * params.eps_hat * fx_sup_bound(params.e)
-        modes = 64 if body.q == 1 else 128
         for xi in phases:
-            sol = solve_range(float(xi), params, N=modes)
+            sol = solve_range(float(xi), params)
             assert sol.sup_norm <= radius, (body.name, xi)
 
 
@@ -326,6 +325,9 @@ def test_bifurcation_with_dissipation():
     target = params.eta_hat * params.nu_hat / params.eps_hat
     phi = solve_range(orbit.xi_star, params, N=128).phi
     assert phi == pytest.approx(target, abs=1e-9)
+    # without N, a 3:2 solve takes order 128: bit for bit the same orbit
+    u = solve_bifurcation(params).u
+    assert u.order == 128 and np.array_equal(u.coefficients, orbit.u.coefficients)
 
 
 def test_bifurcation_at_boundary_target():
@@ -364,8 +366,7 @@ def test_solver_accepts_exactly_the_certified_etas():
         for eta in (0.0, cap, math.nextafter(cap, math.inf), 2.0 * cap):
             params = ResonanceParams.from_body(body, eta=eta)
             try:
-                orbit = solve_bifurcation(params, N=64 if body.q == 1 else 128,
-                                          scan_points=0)
+                orbit = solve_bifurcation(params, scan_points=0)
             except PreconditionError:
                 accepted = False
             else:
@@ -503,13 +504,12 @@ def test_batched_solve_matches_per_phase_reference(monkeypatch):
     monkeypatch.setattr(solver, "_fixed_points", recording_kernel)
     for body in _certified_bodies():
         cap = certify(body).eta_admissible
-        modes = 64 if body.q == 1 else 128
         for eta in (0.0, 0.5 * cap, cap):
             params = ResonanceParams.from_body(body, eta=eta)
             target = params.eta_hat * params.nu_hat / params.eps_hat
             seen.clear()
-            orbit = solve_bifurcation(params, N=modes)
-            solve, ws = _phase_reference(params, modes)
+            orbit = solve_bifurcation(params)
+            solve, ws = _phase_reference(params, solver._MODES[body.q])
             root, sign_changes = _bifurcation_reference(solve, target)
             case = (body.name, eta)
             # the root: near bisection's, inside the bracket, within tolerance
@@ -541,8 +541,7 @@ def test_root_search_makes_few_kernel_calls(monkeypatch):
         cap = certify(body).eta_admissible
         for eta in (0.5 * cap, cap):
             calls.append(0)
-            solve_bifurcation(ResonanceParams.from_body(body, eta=eta),
-                              N=64 if body.q == 1 else 128)
+            solve_bifurcation(ResonanceParams.from_body(body, eta=eta))
     assert len(calls) == 42
     assert max(calls) <= 10 and sum(calls) / len(calls) <= 6.0, calls
 
@@ -576,9 +575,10 @@ def test_root_search_returns_an_exact_zero_at_a_midpoint():
     assert solver._bracketed_root(lambda x: 1.0 - 2.0 * x, 0.0, 1.0, 1.0, -1.0, 0.0) == 0.5
 
 
-def test_root_search_stagnation_names_the_width():
+def test_root_search_stagnation_names_the_width(monkeypatch):
+    monkeypatch.setattr(solver, "_TOL_BIFURCATION", 1e-300)
     with pytest.raises(SolverError, match=r"root search stagnated at width \d"):
-        solve_bifurcation(moon_params(eta=0.004), tol_bifurcation=1e-300)
+        solve_bifurcation(moon_params(eta=0.004))
 
 
 def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
