@@ -85,7 +85,10 @@ def oblateness(a_km: float, b_km: float) -> float:
         raise ValueError(f"radii must be positive, got a={a_km}, b={b_km}")
     if a_km < b_km:
         raise ValueError(f"expected a >= b, got a={a_km} < b={b_km}")
-    return 1.5 * (a_km**2 - b_km**2) / (a_km**2 + b_km**2)
+    # one exact power of two scales both radii so no square over- or underflows
+    k = math.frexp(a_km)[1]
+    a, b = math.ldexp(a_km, -k), math.ldexp(b_km, -k)
+    return 1.5 * (a**2 - b**2) / (a**2 + b**2)
 
 
 def nu_of_e(e: float) -> float:
@@ -267,13 +270,14 @@ def load_catalog(source) -> list:
     """Load and validate a catalog from a file (``Path``) or its text.
 
     Text (``str`` or ``bytes``) starting with '[' or '{' is parsed as JSON,
-    anything else as CSV.  Duplicate body names, compared case-insensitively,
-    are rejected; every invariant violation is reported with its row.
+    anything else as CSV; a file or ``bytes`` may start with a UTF-8 BOM.
+    Duplicate body names, compared case-insensitively, are rejected; every
+    invariant violation is reported with its row.
     """
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
+        source = source.read_text(encoding="utf-8-sig")
     elif isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     elif not isinstance(source, str):
         raise TypeError(f"unsupported catalog source {type(source)!r}")
 

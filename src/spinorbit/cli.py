@@ -173,7 +173,7 @@ def cmd_orbit(args) -> int:
         orbit = solver.solve_bifurcation(params)
     except solver.PreconditionError as exc:
         return _fail(f"{body.name} not certified at eta={args.eta}: {exc}", 1)
-    except (solver.SolverError, solver.AliasingError) as exc:
+    except solver.SolverError as exc:
         return _fail(str(exc), 1)
     residual = dynamics.orbit_residual(orbit)
     if not residual <= _ORBIT_TOLERANCE:

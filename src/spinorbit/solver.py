@@ -13,7 +13,8 @@ and a scalar ("bifurcation") equation
 
 for the phase xi, solved by a bracketed root search (regula falsi with a
 halving safeguard) on a bracket around the extremizers of the leading term
--2 alpha_j sin(2 xi); phases are solved in batches.
+-2 alpha_j sin(2 xi); phases are solved in batches.  Every numerical failure
+of a solve is a SolverError.
 
 All operations are pure; a solve is deterministic for fixed inputs.
 """
@@ -31,7 +32,7 @@ from .kepler import anomalies
 
 __all__ = [
     "PeriodicFunction", "RangeSolution", "ResonantOrbit",
-    "SolverError", "PreconditionError", "AliasingError",
+    "SolverError", "PreconditionError",
     "solve_range", "solve_bifurcation",
 ]
 
@@ -45,15 +46,11 @@ _TOL_BIFURCATION = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Iteration cap or stagnation; indicates misconfiguration, not divergence."""
+    """Iteration cap, unresolved spectrum, no sign change or stagnation."""
 
 
 class PreconditionError(ValueError):
     """A certification condition required by the solver does not hold."""
-
-
-class AliasingError(RuntimeError):
-    """Collocation spectrum not resolved; increase the truncation order."""
 
 
 class PeriodicFunction:
@@ -140,7 +137,7 @@ def _project(samples, order: int):
     """Zero-mean spectral projection of each row plus aliasing check.
 
     Returns (modes 0..order with mode 0 zeroed, removed means).  Raises
-    AliasingError when, in any row, the top third of the resolved band
+    SolverError when, in any row, the top third of the resolved band
     holds more than 1e-8 of the total oscillatory energy.
     """
     n = samples.shape[-1]
@@ -156,8 +153,8 @@ def _project(samples, order: int):
     aliased = np.flatnonzero((top > 1e-8 * total) & (total > 1e-20))
     if len(aliased):
         fraction = np.ravel(top)[aliased[0]] / np.ravel(total)[aliased[0]]
-        raise AliasingError(f"unresolved collocation spectrum (top-band energy fraction "
-                            f"{fraction:.2e} of the signal power); increase the truncation order")
+        raise SolverError(f"unresolved collocation spectrum (top-band energy fraction "
+                          f"{fraction:.2e} of the signal power); increase the truncation order")
     c = spectrum[..., : order + 1]
     c[..., 0] = 0.0
     return c, mean
@@ -257,14 +254,15 @@ def _fixed_points(xis, params, order, ws, initial=None):
     frozen once its sup-norm increment is <= _TOL_FIXED_POINT.  A row's
     arithmetic is that of a lone solve, so batching changes no bit.
     Returns the modes 0..order (m, order+1), the samples (m, n), phi and
-    the increments.
+    the steps: one array per iteration, the sup-norm increments of the rows
+    transformed in it (a row's own increments for a single phase).
     """
     xis = np.asarray(xis, dtype=float)
     multiplier = _green_multiplier(order, params.eta_hat)
     start = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     samples = np.tile(start, (len(xis), 1))
     coefficients = np.zeros((len(xis), order + 1), dtype=complex)
-    increments = [[] for _ in xis]
+    steps = []
     active = np.arange(len(xis))
     for _ in range(_RANGE_ITERATION_CAP):
         old = samples[active]
@@ -272,20 +270,19 @@ def _fixed_points(xis, params, order, ws, initial=None):
         coefficients[active] = c = (rhs * multiplier) * params.eps_hat
         samples[active] = new = _synthesize(c, ws.n)
         step = np.max(np.abs(new - old), axis=-1)
-        for row, value in zip(active.tolist(), step.tolist()):
-            increments[row].append(value)
-        active = active[~(step <= _TOL_FIXED_POINT)]
+        steps.append(step)
+        moving = ~(step <= _TOL_FIXED_POINT)
+        active = active[moving]
         if not len(active):
             break
     else:
-        row = active[0]
         raise SolverError(f"fixed-point iteration cap {_RANGE_ITERATION_CAP} reached at "
-                          f"xi={xis[row]:.6g} (last increment {increments[row][-1]:.3e}); "
+                          f"xi={xis[active[0]]:.6g} (last increment {step[moving][0]:.3e}); "
                           f"check N")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
     final = ws.neg_fx_samples(xis[:, None], samples).tolist()
-    return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], increments
+    return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], steps
 
 
 def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
@@ -301,18 +298,20 @@ def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
     """
     _require(params, ("green", "range"))
     N = _MODES[params.q] if N is None else N
-    coefficients, samples, phi, increments = _fixed_points(
+    coefficients, samples, phi, steps = _fixed_points(
         [xi], params, N, _Workspace(params, N), initial)
     return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
                          sup_norm=float(np.max(np.abs(samples[0]))),
-                         iterations=len(increments[0]), increments=tuple(increments[0]),
+                         iterations=len(steps), increments=tuple(float(s[0]) for s in steps),
                          phi=phi[0])
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
-    """A point x of [lo, hi] with |f(x)| <= tol, given f_lo = f(lo) and
-    f_hi = f(hi) of opposite signs.
+    """A point x of [lo, hi] with |f(x)| <= tol, given f_lo = f(lo) >= 0 and
+    f_hi = f(hi) <= 0.
 
+    An endpoint within tol is returned without calling f (lo first), and a
+    bracket with f_lo < 0 or f_hi > 0 is refused with SolverError.  Otherwise
     Anderson-Bjorck regula falsi that always keeps the sign bracket: a step
     outside the open bracket, or one after three steps that together did
     not halve it, is replaced by the midpoint.  Raises SolverError once the
@@ -320,6 +319,13 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
     bracket, a wider bracket is at least three units in the last place
     wide, so its midpoint lies strictly inside.
     """
+    if abs(f_lo) <= tol:
+        return lo
+    if abs(f_hi) <= tol:
+        return hi
+    if f_lo < 0.0 or f_hi > 0.0:
+        raise SolverError(f"no sign change on the seeded bracket: f = ({f_lo:.3e}, "
+                          f"{f_hi:.3e}) at ({lo:.6g}, {hi:.6g})")
     a, f_a, b, f_b = lo, f_lo, hi, f_hi  # b is the latest point
     widths = []
     while True:
@@ -352,11 +358,12 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
 
     Roots phi - target on [pi/4, 3*pi/4], the bracket between the
     extremizers of the leading term of phi, where the certified range of
-    phi contains the target; the search (``_bracketed_root``) keeps a sign
-    change bracketed at every step, so the root stays in that interval.  A
-    coarse scan over [0, 2*pi) records every sign-change bracket for
-    diagnostics (existence, not uniqueness, is guaranteed, so several roots
-    may coexist).  The root meets |phi - target| <= 1e-10, each phase's
+    phi contains the target; the search (``_bracketed_root``) takes an
+    endpoint within tolerance, refuses (SolverError) a bracket without a
+    sign change and otherwise keeps one at every step, so the root stays in
+    that interval; ``xi_average`` is that root.  A coarse scan over
+    [0, 2*pi) records every sign-change bracket for diagnostics (existence,
+    not uniqueness, is guaranteed, so several roots may coexist).  The root meets |phi - target| <= 1e-10, each phase's
     fixed point is solved as in ``solve_range``, and N defaults to 64 for
     1:1 and 128 for 3:2; with these settings the orbit residual of the
     certified bodies measured stays far below 1e-9.  Raises
@@ -390,29 +397,16 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
         if a == 0.0 or (a < 0.0) != (b < 0.0):
             sign_changes.append((grid[i], grid[(i + 1) % scan_points]))
 
-    if abs(f_lo) <= _TOL_BIFURCATION:
-        root = lo
-    elif abs(f_hi) <= _TOL_BIFURCATION:
-        root = hi
-    elif f_lo < 0.0 or f_hi > 0.0:
-        raise SolverError(
-            f"no sign change on the seeded bracket: phi-target = "
-            f"({f_lo:.3e}, {f_hi:.3e}) at (pi/4, 3pi/4)"
-        )
-    else:
-        root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
-                               _TOL_BIFURCATION)
-
+    root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
+                           _TOL_BIFURCATION)
     coefficients, residual = cache[root]
-    u = PeriodicFunction(coefficients)
-    # the time-average normalization (mean of x(q t) - p t) coincides with
-    # the root because u has zero average by construction
-    xi_average = root + float(np.mean(u.samples(ws.n)))
+    # the time-average normalization (mean of x(q t) - p t) is the root
+    # itself, because u has zero average by construction
     return ResonantOrbit(
         params=params,
         xi_star=root,
-        u=u,
+        u=PeriodicFunction(coefficients),
         bifurcation_residual=abs(residual),
         sign_changes=tuple(sign_changes),
-        xi_average=xi_average,
+        xi_average=root,
     )

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinorbit.catalog import (
     Body,
@@ -35,6 +37,16 @@ def test_oblateness_moon_row():
     assert oblateness(1738.10, 1737.70) == pytest.approx(
         EXPECTED["Moon"]["eps"], rel=1e-12
     )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.floats(1e-3, 1e5), st.floats(0.5, 1.0), st.integers(-1000, 1000))
+# the Moon's radii scaled until a square would overflow, or underflow to 0
+@example(1738.10, 1737.70 / 1738.10, 1000)
+@example(1738.10, 1737.70 / 1738.10, -1000)
+def test_oblateness_is_invariant_under_power_of_two_scaling(a, ratio, k):
+    b = a * ratio
+    assert oblateness(math.ldexp(a, k), math.ldexp(b, k)) == oblateness(a, b)
 
 
 def test_oblateness_rejects_bad_radii():
@@ -112,6 +124,18 @@ def test_load_from_path_and_bytes(tmp_path):
     copy = tmp_path / "copy.csv"
     copy.write_text(src.read_text())
     assert load_catalog(copy) == load_catalog(src)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_utf8_bom_is_accepted(tmp_path, fmt):
+    # spreadsheet exports start with a byte-order mark
+    text = serialize_catalog(bundled_catalog("minor"), fmt)
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_catalog(marked) == load_catalog(plain) == bundled_catalog("minor")
+    assert load_catalog(marked.read_bytes()) == load_catalog(plain)
 
 
 def test_row_precise_diagnostics():

@@ -134,6 +134,18 @@ def test_certify_overflowing_remainder_is_a_strict_no(capsys, tmp_path):
         assert code == 1 and "-inf" in out
 
 
+def test_certify_radii_of_any_finite_size(capsys, tmp_path):
+    # Moon-shaped rows whose squared radii in km overflow (Huge) or
+    # underflow to zero (Wee)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("name,primary,a_km,b_km,c_km,e,p,q\n"
+                    "Huge,P,1.7381e303,1.7377e303,1.736e303,0.0549,1,1\n"
+                    "Wee,P,1.7381e-297,1.7377e-297,1.736e-297,0.0549,1,1\n")
+    code, out, err = run_cli(capsys, "certify", "--catalog", str(rows), "--format", "json")
+    assert code == 0 and err == ""
+    assert [r["certified"] for r in _strict_json(out)] == [True, True]
+
+
 def test_fourier_overflowing_remainder_is_strict_json(capsys):
     code, out, _ = run_cli(capsys, "fourier", EDGE_E, "--jmax", "3", "--format", "json")
     assert code == 0
@@ -230,6 +242,17 @@ def test_orbit_root_search_stagnation_exit_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: root search stagnated at width ")
+    assert "Traceback" not in err
+
+
+def test_orbit_unresolved_spectrum_exit_one(capsys, monkeypatch):
+    # two modes on eight nodes cannot resolve Mercury's forcing
+    monkeypatch.setitem(solver._MODES, 2, 2)
+    monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
+    code, out, err = run_cli(capsys, "orbit", "Mercury")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unresolved collocation spectrum")
     assert "Traceback" not in err
 
 

@@ -12,7 +12,6 @@ from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions, green_norm_bound
 from spinorbit.potential import fourier_coefficient
 from spinorbit.solver import (
-    AliasingError,
     PeriodicFunction,
     PreconditionError,
     SolverError,
@@ -199,7 +198,7 @@ def test_phi_hat_mean_matches_quadrature_coefficient():
 
 def test_phi_hat_aliasing_guard():
     params = mercury_params()
-    with pytest.raises(AliasingError):
+    with pytest.raises(SolverError, match="unresolved collocation spectrum"):
         phi_hat(0.3, zero(2), params, n_coll=8)
 
 
@@ -423,7 +422,7 @@ def _project_reference(samples, order):
     total = float(np.sum(energy)) + mean * mean
     top = float(np.sum(energy[cutoff:]))
     if top > 1e-8 * total and total > 1e-20:
-        raise AliasingError("unresolved collocation spectrum")
+        raise SolverError("unresolved collocation spectrum")
     c = np.zeros(order + 1, dtype=complex)
     c[1:] = spectrum[1 : order + 1]
     return PeriodicFunction(c), mean
@@ -575,6 +574,26 @@ def test_root_search_returns_an_exact_zero_at_a_midpoint():
     assert solver._bracketed_root(lambda x: 1.0 - 2.0 * x, 0.0, 1.0, 1.0, -1.0, 0.0) == 0.5
 
 
+def test_root_search_takes_an_endpoint_within_tolerance_without_calling_f():
+    def f(x):
+        raise AssertionError(f"f called at {x}")
+
+    assert solver._bracketed_root(f, 0.25, 2.0, 0.0, -1.0, 1e-10) == 0.25
+    assert solver._bracketed_root(f, 0.25, 2.0, 1.0, -1e-11, 1e-10) == 2.0
+    assert solver._bracketed_root(f, 0.25, 2.0, 1e-10, 1e-10, 1e-10) == 0.25
+
+
+def test_root_search_refuses_a_bracket_without_a_sign_change():
+    def f(x):
+        raise AssertionError(f"f called at {x}")
+
+    with pytest.raises(SolverError, match=r"^no sign change on the seeded bracket") as info:
+        solver._bracketed_root(f, 0.25, 2.0, -1.0, 1.0, 1e-10)
+    assert "(-1.000e+00, 1.000e+00) at (0.25, 2)" in str(info.value)
+    with pytest.raises(SolverError, match="no sign change"):
+        solver._bracketed_root(f, 0.25, 2.0, 1.0, 0.5, 1e-10)
+
+
 def test_root_search_stagnation_names_the_width(monkeypatch):
     monkeypatch.setattr(solver, "_TOL_BIFURCATION", 1e-300)
     with pytest.raises(SolverError, match=r"root search stagnated at width \d"):
@@ -584,7 +603,7 @@ def test_root_search_stagnation_names_the_width(monkeypatch):
 def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
     monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
     for scan_points in (64, 0):
-        with pytest.raises(AliasingError):
+        with pytest.raises(SolverError, match="unresolved collocation spectrum"):
             solve_bifurcation(mercury_params(), N=2, scan_points=scan_points)
 
 
