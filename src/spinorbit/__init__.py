@@ -18,7 +18,6 @@ from .catalog import (
     load_catalog,
     nu_of_e,
     oblateness,
-    serialize_catalog,
 )
 from .certification import (
     GREEN_ETA_HAT_MAX,
@@ -28,7 +27,6 @@ from .certification import (
     certify_catalog,
     conditions,
     green_eta_cap,
-    green_norm_bound,
 )
 from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual
 from .kepler import AnomalyTriple, KeplerError, anomalies, eccentric_anomaly

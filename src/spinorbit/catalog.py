@@ -34,7 +34,6 @@ __all__ = [
     "oblateness",
     "nu_of_e",
     "load_catalog",
-    "serialize_catalog",
     "bundled_catalog",
     "bundled_catalog_path",
     "BUNDLED_NAMES",
@@ -153,9 +152,6 @@ class Body:
     @property
     def nu(self) -> float:
         return nu_of_e(self.e)
-
-    def to_dict(self) -> dict:
-        return {column: getattr(self, field) for column, (field, _, _) in _COLUMNS.items()}
 
 
 @dataclass(frozen=True)
@@ -291,25 +287,6 @@ def load_catalog(source) -> list:
             raise CatalogError(f"duplicate body names {seen[key]!r} and {body.name!r}")
         seen[key] = body.name
     return bodies
-
-
-def _cell(value, parse) -> str:
-    if value is None:
-        return ""
-    return repr(float(value)) if parse is _number else str(value)
-
-
-def serialize_catalog(bodies, fmt: str = "csv") -> str:
-    """Serialize bodies back to the documented CSV or JSON format."""
-    if fmt == "csv":
-        lines = [",".join(_COLUMNS)]
-        for b in bodies:
-            lines.append(",".join(_cell(getattr(b, field), parse)
-                                  for field, parse, _ in _COLUMNS.values()))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([b.to_dict() for b in bodies], indent=1) + "\n"
-    raise ValueError(f"unknown serialization format {fmt!r}")
 
 
 def bundled_catalog_path(name: str) -> Path:

@@ -9,8 +9,10 @@ eccentricity, a the certified lower bound on |alpha_j| (j = 2p/q; the
 truncated series minus its Cauchy remainder, so a positive report is
 conservative) and m = (1-e)^6:
 
-1. Green-operator norm: eta_hat <= GREEN_ETA_HAT_MAX, which keeps the
+1. Green-operator norm: 0 <= eta_hat <= 2/pi - pi/5, which keeps the
    inverse of u'' + eta_hat u' on zero-average functions at norm <= 5/4.
+   The float ceiling GREEN_ETA_HAT_MAX is the largest double below
+   2/pi - pi/5, so a float eta_hat that passes meets the exact inequality.
 2. Range (contraction): eps_hat < (1-e)^3/5, which makes the
    periodic-correction fixed-point map contract.
 3. Non-empty (topological): eps_hat < (2/5) m a, so that the scalar phase
@@ -18,8 +20,9 @@ conservative) and m = (1-e)^6:
 4. Bifurcation: eta_hat |nu_hat| <= eps_hat (2a - 5 eps_hat/m), which keeps
    the phase equation's target value inside that interval.
 
-:func:`conditions` is the one statement of these inequalities; the
-certifier, the solver's preconditions and the command line all read it.
+:func:`conditions` is the one statement of these inequalities, with the
+reason each failure gives; the certifier, the solver's preconditions and
+the command line all read it.
 """
 
 import csv
@@ -34,7 +37,6 @@ from .potential import alpha_lower_bound
 __all__ = [
     "GREEN_ETA_HAT_MAX",
     "green_eta_cap",
-    "green_norm_bound",
     "Conditions",
     "conditions",
     "certify",
@@ -47,9 +49,10 @@ __all__ = [
     "json_value",
 ]
 
-# Largest eta_hat keeping the Green-operator norm bound at 5/4 exactly:
-# (pi/5)(10/pi^2 - 1) = 0.00830124...
-GREEN_ETA_HAT_MAX = math.pi / 5.0 * (10.0 / math.pi**2 - 1.0)
+# Largest eta_hat keeping the Green-operator norm bound at 5/4:
+# 2/pi - pi/5 = (pi/5)(10/pi^2 - 1) = 0.00830124..., rounded down to the
+# largest double below it (the float expression rounds up, by 14 ulps).
+GREEN_ETA_HAT_MAX = 0.008301241649622695
 
 
 def green_eta_cap(q: int) -> float:
@@ -57,30 +60,20 @@ def green_eta_cap(q: int) -> float:
     return GREEN_ETA_HAT_MAX / q
 
 
-def green_norm_bound(eta_hat: float) -> float:
-    """Operator-norm bound (1 + eta_hat (pi/2)/(1 - eta_hat pi/2)) pi^2/8.
-
-    Valid for 0 <= eta_hat < 2/pi; equals pi^2/8 at eta_hat = 0 and exactly
-    5/4 at eta_hat = GREEN_ETA_HAT_MAX.
-    """
-    if not 0.0 <= eta_hat < 2.0 / math.pi:
-        raise ValueError(f"eta_hat must lie in [0, 2/pi), got {eta_hat}")
-    half_pi_eta = eta_hat * math.pi / 2.0
-    return (1.0 + half_pi_eta / (1.0 - half_pi_eta)) * math.pi**2 / 8.0
-
-
 @dataclass(frozen=True)
 class Conditions:
     """The four conditions at one parameter set, in hatted units.
 
     ``green``, ``range``, ``nonempty`` and ``bifurcation`` are margins: the
-    right-hand side minus the left-hand side of each inequality.  The
-    strict ones (range, non-empty) hold when positive, the others when
-    non-negative.  ``halfwidth`` is 2a - 5 eps_hat/(1-e)^6, and
-    ``eta_hat_bif`` the bifurcation ceiling on eta_hat: 0.0 when eps_hat
-    <= 0 (the phase equation is undefined) or the half-width is not
-    positive (no certificate at any eta), +inf when nu_hat = 0 (only the
-    Green cap remains).
+    right-hand side minus the left-hand side of each inequality (for the
+    two-sided Green condition, the smaller of the two).  The strict ones
+    (range, non-empty) hold when positive, the others when non-negative.
+    ``halfwidth`` is 2a - 5 eps_hat/(1-e)^6, and ``eta_hat_bif`` the
+    bifurcation ceiling on eta_hat: 0.0 when eps_hat <= 0 (the phase
+    equation is undefined) or the half-width is not positive (no
+    certificate at any eta), +inf when nu_hat = 0 (only the Green cap
+    remains).  ``failed`` holds a (name, reason) pair for each condition
+    that fails, in the order stated above.
     """
 
     alpha_lower: float
@@ -90,17 +83,7 @@ class Conditions:
     range: float
     nonempty: float
     bifurcation: float
-
-    @property
-    def failed(self) -> tuple:
-        """Names of the failed conditions, in the order stated above."""
-        holds = {
-            "green": self.green >= 0.0,
-            "range": self.range > 0.0,
-            "nonempty": self.nonempty > 0.0,
-            "bifurcation": self.eta_hat_bif > 0.0 and self.bifurcation >= 0.0,
-        }
-        return tuple(name for name, ok in holds.items() if not ok)
+    failed: tuple
 
 
 def conditions(params: ResonanceParams) -> Conditions:
@@ -123,14 +106,35 @@ def conditions(params: ResonanceParams) -> Conditions:
         eta_hat_bif = math.inf
     else:
         eta_hat_bif = eps_hat / abs(nu_hat) * halfwidth
+    green = min(eta_hat, GREEN_ETA_HAT_MAX - eta_hat)
+    range_ = (1.0 - e) ** 3 / 5.0 - eps_hat
+    nonempty = 0.4 * m * alpha - eps_hat
+    bifurcation = eta_hat_bif - eta_hat
+    failed = []
+    if not green >= 0.0:
+        failed.append(("green", f"eta_hat={eta_hat!r} violates the Green-norm condition "
+                                f"0 <= eta_hat <= {GREEN_ETA_HAT_MAX!r}"))
+    if not range_ > 0.0:
+        failed.append(("range", f"range (contraction) condition fails: margin "
+                                f"{range_:.6g} <= 0"))
+    if not nonempty > 0.0:
+        failed.append(("nonempty", f"non-empty (topological) condition fails: margin "
+                                   f"{nonempty:.6g} <= 0"))
+    if not params.eps > 0.0:
+        failed.append(("bifurcation", f"eps={params.eps}: the phase equation needs eps > 0"))
+    elif not (eta_hat_bif > 0.0 and bifurcation >= 0.0):
+        failed.append(("bifurcation", f"bifurcation condition fails: eta_hat={eta_hat:.6g}, "
+                                      f"ceiling {eta_hat_bif:.6g} from the certified "
+                                      f"phase-equation half-width {halfwidth:.6g}"))
     return Conditions(
         alpha_lower=alpha,
         halfwidth=halfwidth,
         eta_hat_bif=eta_hat_bif,
-        green=GREEN_ETA_HAT_MAX - eta_hat,
-        range=(1.0 - e) ** 3 / 5.0 - eps_hat,
-        nonempty=0.4 * m * alpha - eps_hat,
-        bifurcation=eta_hat_bif - eta_hat,
+        green=green,
+        range=range_,
+        nonempty=nonempty,
+        bifurcation=bifurcation,
+        failed=tuple(failed),
     )
 
 

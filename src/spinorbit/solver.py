@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ResonanceParams
-from .certification import GREEN_ETA_HAT_MAX, conditions
+from .certification import conditions
 from .kepler import anomalies
 
 __all__ = [
@@ -220,30 +220,16 @@ class ResonantOrbit:
 
 
 def _require(params: ResonanceParams, names):
-    """Raise PreconditionError naming the first of ``names`` that fails, or
-    the reason the conditions cannot be evaluated (e outside the disk)."""
+    """Raise PreconditionError with the reason of the first of ``names`` that
+    fails, or the reason the conditions cannot be evaluated (e outside the
+    disk)."""
     try:
         c = conditions(params)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    failed = [name for name in c.failed if name in names]
-    if not failed:
-        return
-    if failed[0] == "green":
-        message = (f"eta_hat={params.eta_hat:.6g} violates the Green-norm "
-                   f"condition (max {GREEN_ETA_HAT_MAX:.6g})")
-    elif failed[0] == "range":
-        message = f"range (contraction) condition fails: margin {c.range:.6g} <= 0"
-    elif failed[0] == "nonempty":
-        message = (f"non-empty (topological) condition fails: margin "
-                   f"{c.nonempty:.6g} <= 0")
-    elif not params.eps > 0.0:
-        message = f"eps={params.eps}: the phase equation needs eps > 0"
-    else:
-        message = (f"bifurcation condition fails: eta_hat={params.eta_hat:.6g}, "
-                   f"ceiling {c.eta_hat_bif:.6g} from the certified "
-                   f"phase-equation half-width {c.halfwidth:.6g}")
-    raise PreconditionError(message)
+    for name, reason in c.failed:
+        if name in names:
+            raise PreconditionError(reason)
 
 
 def _fixed_points(xis, params, order, ws, initial=None):

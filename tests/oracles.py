@@ -1,8 +1,8 @@
 """Test references the package does not ship: the Kepler solve at complex e,
 alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
-the right-hand side of the spin equation at one state, the Green operator,
-PeriodicFunction arithmetic and its evaluation through an exponential
-matrix.
+the right-hand side of the spin equation at one state, the Green operator
+and its norm bound, PeriodicFunction arithmetic and its evaluation through
+an exponential matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code.  Pytest does not collect this module."""
@@ -180,6 +180,18 @@ def difference(v: PeriodicFunction, w: PeriodicFunction) -> PeriodicFunction:
     c[: v.order + 1] = v.coefficients
     c[: w.order + 1] -= w.coefficients
     return PeriodicFunction(c)
+
+
+def green_norm_bound(eta_hat: float) -> float:
+    """Operator-norm bound (1 + eta_hat (pi/2)/(1 - eta_hat pi/2)) pi^2/8.
+
+    Valid for 0 <= eta_hat < 2/pi; equals pi^2/8 at eta_hat = 0 and 5/4 at
+    eta_hat = 2/pi - pi/5, the Green-norm condition's ceiling.
+    """
+    if not 0.0 <= eta_hat < 2.0 / math.pi:
+        raise ValueError(f"eta_hat must lie in [0, 2/pi), got {eta_hat}")
+    half_pi_eta = eta_hat * math.pi / 2.0
+    return (1.0 + half_pi_eta / (1.0 - half_pi_eta)) * math.pi**2 / 8.0
 
 
 def green_apply(g: PeriodicFunction, eta_hat: float) -> PeriodicFunction:

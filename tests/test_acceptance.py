@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import (complex_eccentric_anomaly, difference, fx_sup_bound, fxx_sup_bound,
-                     green_apply, scaled, sup_norm)
+                     green_apply, green_norm_bound, scaled, sup_norm)
 from spinorbit import solver
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.certification import (
@@ -25,7 +25,6 @@ from spinorbit.certification import (
     certify,
     certify_catalog,
     green_eta_cap,
-    green_norm_bound,
 )
 from spinorbit.dynamics import SpinState, check_resonance, integrate, orbit_residual
 from spinorbit.potential import (

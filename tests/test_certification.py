@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import green_apply, sup_norm
+from oracles import green_apply, green_norm_bound, sup_norm
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.certification import (
     GREEN_ETA_HAT_MAX,
@@ -15,7 +17,6 @@ from spinorbit.certification import (
     certify_catalog,
     conditions,
     green_eta_cap,
-    green_norm_bound,
     reports_to_csv,
     reports_to_json,
     reports_to_markdown,
@@ -51,6 +52,32 @@ def test_green_eta_caps_printed_digits():
     assert 0.0041 <= green_eta_cap(2) < 0.0042
 
 
+def test_green_ceiling_is_the_largest_double_below_its_exact_value():
+    # pi to 37 decimals encloses pi; 2/pi - pi/5 decreases in pi, so the
+    # upper end of the enclosure bounds it from below and the lower end
+    # from above
+    pi_lo = Fraction("3.1415926535897932384626433832795028841")
+    pi_hi = pi_lo + Fraction(1, 10**37)
+    assert Fraction(GREEN_ETA_HAT_MAX) <= 2 / pi_hi - pi_hi / 5
+    assert Fraction(math.nextafter(GREEN_ETA_HAT_MAX, 1.0)) > 2 / pi_lo - pi_lo / 5
+
+
+def test_green_ceiling_equals_frozen_for_every_bundled_body():
+    bodies = bundled_catalog("all") + bundled_catalog("minor")
+    assert len(bodies) == 24
+    for body in bodies:
+        assert certify(body).eta_green_max == EXPECTED[body.name]["eta_green_max"], body.name
+
+
+def test_green_bound_eta_admissible_never_above_frozen():
+    green_bound = [b for b in bundled_catalog("all") + bundled_catalog("minor")
+                   if EXPECTED[b.name]["certified"]
+                   and EXPECTED[b.name]["eta_admissible"] == EXPECTED[b.name]["eta_green_max"]]
+    assert len(green_bound) == 20
+    for body in green_bound:
+        assert certify(body).eta_admissible <= EXPECTED[body.name]["eta_admissible"], body.name
+
+
 def hatted(e, eps, p, q, nu=None):
     """conditions() at eta = 0 and the given unhatted parameters (nu
     defaults to p/q)."""
@@ -78,6 +105,25 @@ def test_eta_max_degenerate_cases():
     assert hatted(0.0, 0.0, 1, 1, nu=1.0).eta_hat_bif == 0.0       # eps = 0, nu_hat = 0
     assert hatted(0.0, 0.2, 1, 1, nu=1.5).eta_hat_bif == 0.0       # vanishing bracket
     assert math.isinf(hatted(0.0, 0.1, 1, 1, nu=1.0).eta_hat_bif)  # q nu - p = 0 sentinel
+
+
+@pytest.mark.parametrize("params, name, reason", [
+    (ResonanceParams.from_body(bundled_catalog("moons")[0], eta=0.009), "green",
+     r"eta_hat=0\.009 violates the Green-norm condition 0 <= eta_hat <= 0\.008301241649622695"),
+    (ResonanceParams.from_body(bundled_catalog("minor")[0]), "range",
+     r"range \(contraction\) condition fails: margin -\S+ <= 0"),
+    (ResonanceParams(p=3, q=2, e=0.0, eps=0.01, eta=0.0, nu=1.5), "nonempty",
+     r"non-empty \(topological\) condition fails: margin -0\.04 <= 0"),
+    (ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0), "bifurcation",
+     r"eps=0\.0: the phase equation needs eps > 0"),
+    (ResonanceParams(p=1, q=1, e=0.0549, eps=1e-6, eta=0.008, nu=1.2), "bifurcation",
+     r"bifurcation condition fails: eta_hat=0\.008, ceiling \S+ from the certified "
+     r"phase-equation half-width \S+"),
+], ids=["green", "range", "nonempty", "eps", "bifurcation"])
+def test_every_failure_gives_its_reason(params, name, reason):
+    reasons = [r for n, r in conditions(params).failed if n == name]
+    assert len(reasons) == 1
+    assert re.fullmatch(reason, reasons[0]), reasons[0]
 
 
 def test_margins_monotone_decreasing_in_eps():

@@ -197,6 +197,14 @@ def test_orbit_eta_above_green_cap_refused(capsys):
     assert "Green-norm condition" in err
 
 
+def test_orbit_just_above_the_exact_green_ceiling_refused(capsys):
+    # 0.008301241649622697 lies above 2/pi - pi/5 but below the float
+    # (pi/5)(10/pi^2 - 1), which rounds up
+    code, out, err = run_cli(capsys, "orbit", "Moon", "--eta", "0.008301241649622697")
+    assert code == 1 and out == ""
+    assert "Green-norm condition" in err
+
+
 def test_orbit_uncertified_body_refused(capsys):
     code, _, err = run_cli(capsys, "orbit", "Phobos", "--catalog", "minor")
     assert code == 1

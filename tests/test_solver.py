@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import (difference, evaluate_matrix, from_samples, fx_sup_bound, fxx_sup_bound,
-                     green_apply, phi_hat, scaled, sup_norm, zero)
+                     green_apply, green_norm_bound, phi_hat, scaled, sup_norm, zero)
 from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
-from spinorbit.certification import certify, conditions, green_norm_bound
+from spinorbit.certification import certify, conditions
 from spinorbit.potential import fourier_coefficient
 from spinorbit.solver import (
     PeriodicFunction,
@@ -272,6 +272,17 @@ def test_solve_range_refuses_outside_certified_region():
         solve_range(0.1, ResonanceParams.from_body(phobos))
     with pytest.raises(PreconditionError, match="Green"):
         solve_range(0.1, moon_params(eta=0.05))
+
+
+@pytest.mark.parametrize("eta", [-0.001, math.nan, math.inf])
+def test_green_condition_is_two_sided(eta):
+    # a negative or non-finite eta fails the Green condition first, and both
+    # solves refuse it with that reason
+    params = moon_params(eta=eta)
+    assert conditions(params).failed[0][0] == "green"
+    for solve in (lambda: solve_range(0.1, params), lambda: solve_bifurcation(params)):
+        with pytest.raises(PreconditionError, match="Green-norm"):
+            solve()
 
 
 def test_outside_certified_disk_is_a_precondition_error():
