@@ -9,7 +9,8 @@ Three subcommands:
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks).
-  Exit 1 when --nquad nodes do not resolve a coefficient.
+  Exit 1 when --nquad nodes do not resolve a coefficient, or when the
+  doubled-node gap sits at the quadrature's round-off floor.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, verify it by direct integration residuals,
   and emit it as JSON, always (it takes no --format).  Exit 1 when a
@@ -150,7 +151,8 @@ def cmd_fourier(args) -> int:
     try:
         rows = _fourier_rows(args.e, args.jmax, args.nquad)
     except QuadratureError as exc:
-        return _fail(f"{exc}; raise --nquad", 1)
+        hint = "raising --nquad will not lower it" if exc.at_floor else "raise --nquad"
+        return _fail(f"{exc}; {hint}", 1)
     return _emit(_render_fourier(rows, args.format), args.out)
 
 

@@ -1,8 +1,8 @@
 """Test references the package does not ship: the Kepler solve at complex e,
 alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
-the right-hand side of the spin equation at one state, the Green operator
-and its norm bound, PeriodicFunction arithmetic and its evaluation through
-an exponential matrix.
+the right-hand side of the spin equation at one state, the RK4 loop on
+numpy scalars, the Green operator and its norm bound, PeriodicFunction
+arithmetic and its evaluation through an exponential matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code.  Pytest does not collect this module."""
@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from spinorbit.dynamics import SpinState
+from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
 from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
@@ -87,6 +87,51 @@ def rhs(state: SpinState, params):
         potential_fx(params.e, state.x, state.t)
     )
     return state.v, dv
+
+
+def integrate_reference(initial: SpinState, t_end: float, params,
+                        step: float = DEFAULT_STEP) -> Trajectory:
+    """The RK4 scheme of ``dynamics.integrate`` written on numpy scalars:
+    each stage indexes the half-step grid arrays and each step writes into
+    preallocated arrays.  ``integrate`` must match it bit for bit."""
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    span = t_end - initial.t
+    if span <= 0.0:
+        raise ValueError(f"t_end={t_end} must exceed initial.t={initial.t}")
+    n = max(1, round(span / step))
+    h = span / n
+
+    half_grid = initial.t + 0.5 * h * np.arange(2 * n + 1)
+    _, rho, f = anomalies(params.e, half_grid)
+    two_f = 2.0 * f
+    inv_rho3 = 1.0 / rho**3
+
+    eta, nu, eps = params.eta, params.nu, params.eps
+
+    def accel(x, v, idx):
+        return -eta * (v - nu) - eps * math.sin(2.0 * x - two_f[idx]) * inv_rho3[idx]
+
+    ts = initial.t + h * np.arange(n + 1)
+    xs = np.empty(n + 1)
+    vs = np.empty(n + 1)
+    x, v = initial.x, initial.v
+    xs[0], vs[0] = x, v
+    for k in range(n):
+        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
+        k1x, k1v = v, accel(x, v, i0)
+        k2x = v + 0.5 * h * k1v
+        k2v = accel(x + 0.5 * h * k1x, k2x, i1)
+        k3x = v + 0.5 * h * k2v
+        k3v = accel(x + 0.5 * h * k2x, k3x, i1)
+        k4x = v + h * k3v
+        k4v = accel(x + h * k3x, k4x, i2)
+        x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise DynamicsError(f"non-finite state at t={ts[k + 1]}")
+        xs[k + 1], vs[k + 1] = x, v
+    return Trajectory(t=ts, x=xs, v=vs)
 
 
 def tidal_kernel(e, t, tol: float = 1e-13):

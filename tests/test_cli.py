@@ -169,6 +169,16 @@ def test_fourier_unresolved_quadrature_refused(capsys):
     assert "--nquad" in err and "n_quad=64" in err
 
 
+def test_fourier_round_off_floor_not_sent_to_more_nodes(capsys):
+    # at e = 0.9999 the doubled-node gap is rounding at every n_quad: the
+    # refusal says so instead of asking for more nodes
+    code, out, err = run_cli(capsys, "fourier", "0.9999", "--jmax", "1", "--nquad", "65536")
+    assert code == 1
+    assert out == ""
+    assert "round-off floor" in err
+    assert "raise --nquad" not in err
+
+
 def test_fourier_invalid_eccentricity_exit_two(capsys):
     code, _, err = run_cli(capsys, "fourier", "1.5")
     assert code == 2

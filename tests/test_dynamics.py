@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rhs, scaled, zero
+from oracles import integrate_reference, rhs, scaled, zero
 from spinorbit.catalog import ResonanceParams, bundled_catalog
+from spinorbit.certification import certify
 from spinorbit.dynamics import (
+    DEFAULT_STEP,
     DynamicsError,
     SpinState,
     check_resonance,
@@ -89,6 +91,53 @@ def test_integrate_rejects_bad_steps():
         integrate(SpinState(0.0, 1.0, 0.0), TWO_PI, params, step=0.0)
     with pytest.raises(ValueError):
         integrate(SpinState(0.0, 1.0, 1.0), 1.0, params)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial.x", math.inf), ("initial.v", math.nan), ("initial.t", -math.inf),
+    ("t_end", math.inf), ("t_end", math.nan), ("step", math.nan), ("step", math.inf),
+])
+def test_integrate_refuses_non_finite_arguments(field, value):
+    params = ResonanceParams(p=1, q=1, e=0.1, eps=0.01, eta=0.0, nu=1.0)
+    args = {"initial.x": 0.0, "initial.v": 1.0, "initial.t": 0.0,
+            "t_end": TWO_PI, "step": TWO_PI / 64.0}
+    args[field] = value
+    state = SpinState(args["initial.x"], args["initial.v"], args["initial.t"])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        integrate(state, args["t_end"], params, step=args["step"])
+
+
+def test_integrate_overflow_is_a_dynamics_error():
+    moon = bundled_catalog("moons")[0]
+    params = ResonanceParams.from_body(moon)
+    with pytest.raises(DynamicsError, match="non-finite state"):
+        integrate(SpinState(0.0, 1e308, 0.0), TWO_PI, params)
+
+
+CERTIFIED = [b for b in bundled_catalog("all") + bundled_catalog("minor") if certify(b).certified]
+
+
+def _assert_matches_reference(state, t_end, params, step=DEFAULT_STEP):
+    traj = integrate(state, t_end, params, step)
+    ref = integrate_reference(state, t_end, params, step)
+    for name in ("t", "x", "v"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("body", CERTIFIED, ids=lambda b: b.name)
+def test_integrate_bit_identical_to_numpy_scalar_loop(body):
+    for eta in (0.0, certify(body).eta_admissible):
+        params = ResonanceParams.from_body(body, eta=eta)
+        x0, v0 = solve_bifurcation(params, scan_points=0).initial_state()
+        _assert_matches_reference(SpinState(x0, v0, 0.0), TWO_PI * body.q, params)
+
+
+def test_integrate_bit_identical_off_orbit_with_shifted_start():
+    moon = bundled_catalog("moons")[0]
+    params = ResonanceParams.from_body(moon, eta=0.002)
+    _assert_matches_reference(
+        SpinState(0.7, 1.05, 0.5), 0.5 + 3.0 * TWO_PI, params, step=TWO_PI / 512.0,
+    )
 
 
 def test_check_resonance_exact_rotation():

@@ -96,6 +96,18 @@ def test_fourier_doubling_check_flags_coarse_grids():
         fourier_coefficient(0.95, 2, n_quad=64)
 
 
+@pytest.mark.parametrize("e, j, n_quad, at_floor", [
+    (0.95, 2, 64, False),      # under-resolved: more nodes pass
+    (0.9999, 1, 2048, False),  # under-resolved: the gap shrinks on doubling
+    (0.9995, 1, 4096, True),   # rounding of the sum, ~1e2 round-off units
+    (0.9999, 1, 65536, True),
+])
+def test_fourier_doubling_check_tells_round_off_from_truncation(e, j, n_quad, at_floor):
+    with pytest.raises(QuadratureError) as info:
+        fourier_coefficient(e, j, n_quad=n_quad)
+    assert info.value.at_floor is at_floor
+
+
 def test_exponential_doubling_check_flags_coarse_grids():
     # at e = 0.99 the mean-anomaly grid of 8192 nodes returns -3.70 for
     # alpha_1 = 0.2480; the doubled grid moves it by ~3.9
