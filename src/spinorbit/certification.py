@@ -90,7 +90,8 @@ def conditions(params: ResonanceParams) -> Conditions:
     """Evaluate the four existence conditions at ``params``.
 
     Raises ValueError for a resonance outside the supported ones, and (from
-    ``alpha_lower_bound``) for e outside the certified disk of j.
+    ``alpha_lower_bound``) for e negative, non-finite or outside the
+    certified disk of j.
     """
     if (params.p, params.q) not in SUPPORTED_RESONANCES:
         raise ValueError(

@@ -8,9 +8,10 @@ Three subcommands:
   or when no body is selected.
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
-  and remainder bound where available (j = 2, 3 inside their disks).
-  Exit 1 when --nquad nodes do not resolve a coefficient, or when the
-  doubled-node gap sits at the quadrature's round-off floor.
+  and remainder bound where available (j = 2, 3 inside their disks);
+  ``within_bound`` allows the quadrature's own FLOAT_SLACK.  Exit 1 when
+  --nquad nodes do not resolve a coefficient, or when the doubled-node gap
+  sits at the quadrature's round-off floor.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, verify it by direct integration residuals,
   and emit it as JSON, always (it takes no --format).  Exit 1 when a
@@ -39,6 +40,7 @@ from . import dynamics, solver
 from .potential import (
     CANONICAL_B,
     CANONICAL_ORDER,
+    FLOAT_SLACK,
     QuadratureError,
     alpha_series,
     canonical_disk,
@@ -113,7 +115,8 @@ def _fourier_rows(e: float, j_max: int, n_quad: int):
             row.update(
                 alpha_series=series,
                 remainder_bound=bound,
-                within_bound=abs(quad - series) <= bound,
+                # the quadrature itself is only accurate to FLOAT_SLACK
+                within_bound=abs(quad - series) <= bound + FLOAT_SLACK,
             )
         rows.append(row)
     return rows

@@ -14,10 +14,12 @@ and the alpha_j control which p:q resonances can be sustained.  This module
 evaluates V_x pointwise and provides two routes to alpha_j:
 
 * ``fourier_coefficient`` -- periodic-trapezoid quadrature of a real
-                             integrand in the eccentric anomaly;
-* ``alpha_series``        -- exact-rational truncated Taylor polynomial in
-                             e (j = 2, 3 only), with a certified Cauchy
-                             remainder bound from ``remainder_bound``.
+                             integrand in the eccentric anomaly, accurate
+                             to FLOAT_SLACK by its doubled-node check;
+* ``alpha_series``        -- truncated Taylor polynomial in e (j = 2, 3
+                             only), evaluated exactly by Horner's rule on
+                             integers and rounded once, with a certified
+                             Cauchy remainder bound from ``remainder_bound``.
 
 The series and remainder provide rigorous lower bounds |alpha_j(e)| >=
 |series| - remainder used by the certification conditions.  A second
@@ -42,6 +44,7 @@ __all__ = [
     "CANONICAL_B",
     "CANONICAL_ORDER",
     "QuadratureError",
+    "FLOAT_SLACK",
 ]
 
 
@@ -83,6 +86,20 @@ _ALPHA3_COEFFS = {
 
 _SERIES = {2: _ALPHA2_COEFFS, 3: _ALPHA3_COEFFS}
 CANONICAL_ORDER = {2: 4, 3: 21}
+
+
+def _integer_series(coeffs, order):
+    """(odd, D, numerators): alpha_2 is even in e and alpha_3 odd, so the
+    series is e^odd times a polynomial in e^2, whose coefficients times the
+    common denominator D are the integer numerators, highest power first."""
+    odd = order % 2
+    denominator = math.lcm(*(c.denominator for c in coeffs.values()))
+    numerators = [int(coeffs.get(k, 0) * denominator) for k in range(order, -1, -2)]
+    return odd, denominator, numerators
+
+
+_INTEGER_SERIES = {j: _integer_series(c, CANONICAL_ORDER[j]) for j, c in _SERIES.items()}
+
 # Disk parameters chosen to tighten the Cauchy estimate for each harmonic.
 CANONICAL_B = {2: 0.462678, 3: 0.768368}
 
@@ -97,8 +114,6 @@ def potential_fx(e, x, t):
 
 
 def _quadrature_nodes(n_quad):
-    if n_quad < 64 or n_quad % 2:
-        raise ValueError(f"n_quad must be even and >= 64, got {n_quad}")
     return 2.0 * np.pi * np.arange(n_quad) / n_quad
 
 
@@ -122,11 +137,15 @@ def _alpha_integrand(e, j, n_quad):
     return (p * np.cos(phase) - q * np.sin(phase)) / (rho**2 * (a2 + b2) ** 2)
 
 
-def _alpha_trapezoid(e, j, n_quad):
-    # periodic trapezoid = plain node average; fsum keeps the reduction
-    # order fixed so results are bit-reproducible
-    return -0.5 * math.fsum(_alpha_integrand(e, j, n_quad)) / n_quad
+def _trapezoid(terms):
+    # periodic trapezoid = plain node average; fsum rounds the sum once, so
+    # the result does not depend on the order of the terms
+    return -0.5 * math.fsum(terms.tolist()) / len(terms)
 
+
+# Accuracy contract of the quadrature: the largest gap its doubled-node check
+# lets through, so a quadrature value may lie this far from alpha_j.
+FLOAT_SLACK = 1e-10
 
 # A doubled-node gap within this multiple of the round-off unit of the
 # trapezoid sum is rounding, not truncation.  Measured: 120-340 where the gap
@@ -135,16 +154,16 @@ def _alpha_trapezoid(e, j, n_quad):
 _FLOOR_MULTIPLE = 1000.0
 
 
-def _doubling_checked(route, e, j, n_quad):
-    """route(e, j, n_quad), refused when 2*n_quad nodes move it by > 1e-10.
+def _doubling_checked(value, refined, e, j, n_quad):
+    """``value`` (alpha_j(e) on n_quad nodes), refused when ``refined`` (on
+    2*n_quad nodes) differs from it by more than FLOAT_SLACK.
 
     The refusal is ``at_floor`` when the gap is within _FLOOR_MULTIPLE of
     2^-52 times the summed |terms| of the n_quad-node trapezoid average,
     a floor that more nodes do not lower.
     """
-    value = route(e, j, n_quad)
-    gap = abs(value - route(e, j, 2 * n_quad))
-    if gap > 1e-10:
+    gap = abs(value - refined)
+    if gap > FLOAT_SLACK:
         unit = 2.0**-52 * 0.5 * float(np.mean(np.abs(_alpha_integrand(e, j, n_quad))))
         if gap <= _FLOOR_MULTIPLE * unit:
             raise QuadratureError(
@@ -164,7 +183,9 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     """Coefficient alpha_j(e) by periodic-trapezoid quadrature.
 
     Spectrally accurate for the analytic integrand; a doubled-node
-    evaluation guards against under-resolution.
+    evaluation guards against under-resolution.  The integrand is evaluated
+    once, on 2*n_quad nodes: the n_quad nodes are its even-index ones, bit
+    for bit (2 pi (2k)/(2n) == 2 pi k/n in floating point).
 
     Args:
         e: real eccentricity in [0, 1).
@@ -173,32 +194,46 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
 
     Raises:
         QuadratureError: the n_quad and 2*n_quad evaluations differ by
-            more than 1e-10: increase n_quad, unless ``at_floor`` says the
-            gap is rounding (from about e = 0.9995 up).
+            more than FLOAT_SLACK: increase n_quad, unless ``at_floor`` says
+            the gap is rounding (from about e = 0.9995 up).
     """
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
-    return _doubling_checked(_alpha_trapezoid, e, j, n_quad)
+    if n_quad < 64 or n_quad % 2:
+        raise ValueError(f"n_quad must be even and >= 64, got {n_quad}")
+    terms = _alpha_integrand(e, j, 2 * n_quad)
+    return _doubling_checked(_trapezoid(terms[::2]), _trapezoid(terms), e, j, n_quad)
 
 
 def alpha_series(j: int, e: float) -> float:
     """Truncated Taylor polynomial of alpha_j(e), j in {2, 3}.
 
-    Evaluated in exact rational arithmetic (the float e is used with its
-    exact binary value) and rounded once at the end, so cancellation across
-    the 11 high-order terms of the j = 3 series cannot degrade the result.
+    The rational value of the polynomial at the exact binary value of the
+    float e, rounded once: e = m / 2^k is split exactly, Horner's rule in
+    e^2 runs on integers over the common denominator of the coefficients,
+    and one correctly rounded int / int division ends it.  So cancellation
+    across the 11 high-order terms of the j = 3 series cannot degrade the
+    result, and it equals float() of the same sum taken in ``Fraction``.
+    Raises ValueError for a negative or non-finite e.
     """
     if j not in _SERIES:
         raise ValueError(f"series coefficients available only for j in (2, 3), got {j}")
-    if e < 0.0:
-        raise ValueError(f"eccentricity must be >= 0, got {e}")
-    e_exact = Fraction(e)
-    acc = Fraction(0)
-    for k in range(CANONICAL_ORDER[j], -1, -1):
-        acc = acc * e_exact + _SERIES[j].get(k, Fraction(0))
-    return float(acc)
+    if not (e >= 0.0 and math.isfinite(e)):
+        raise ValueError(f"eccentricity must be finite and >= 0, got {e}")
+    odd, denominator, numerators = _INTEGER_SERIES[j]
+    m, d = e.as_integer_ratio()
+    k = d.bit_length() - 1
+    m2, k2 = m * m, 2 * k
+    # acc / 2^shift is D times the polynomial in e^2 = m2 / 2^k2 so far
+    acc, shift = numerators[0], 0
+    for c in numerators[1:]:
+        shift += k2
+        acc = acc * m2 + (c << shift)
+    if odd:
+        acc, shift = acc * m, shift + k
+    return acc / (denominator << shift)
 
 
 def remainder_bound(e: float, order: int, b: float) -> float:

@@ -221,8 +221,8 @@ class ResonantOrbit:
 
 def _require(params: ResonanceParams, names):
     """Raise PreconditionError with the reason of the first of ``names`` that
-    fails, or the reason the conditions cannot be evaluated (e outside the
-    disk)."""
+    fails, or the reason the conditions cannot be evaluated (e non-finite
+    or outside the disk)."""
     try:
         c = conditions(params)
     except ValueError as exc:

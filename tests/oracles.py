@@ -1,14 +1,17 @@
 """Test references the package does not ship: the Kepler solve at complex e,
-alpha_j on the mean-anomaly grid, V_xx and the sup bounds on V_x and V_xx,
-the right-hand side of the spin equation at one state, the RK4 loop on
-numpy scalars, the Green operator and its norm bound, PeriodicFunction
-arithmetic and its evaluation through an exponential matrix.
+alpha_j on the mean-anomaly grid, the trapezoid on one grid of n nodes, the
+truncated series in ``Fraction`` arithmetic, V_xx and the sup bounds on V_x
+and V_xx, the right-hand side of the spin equation at one state, the RK4
+loop on numpy scalars, the Green operator and its norm bound,
+PeriodicFunction arithmetic and its evaluation through an exponential
+matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code.  Pytest does not collect this module."""
 
 import cmath
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -16,7 +19,8 @@ import numpy as np
 from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
-from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
+from spinorbit.potential import (_SERIES, CANONICAL_ORDER, _alpha_integrand,
+                                 _doubling_checked, _quadrature_nodes, potential_fx)
 from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
 
 # ---------------------------------------------------- Kepler at complex e
@@ -163,6 +167,28 @@ def _kernel_from_u(e, u):
     return -(z**4) / (2.0 * rho**3 * (a * a + b * b) ** 2)
 
 
+def alpha_trapezoid_reference(e, j, n_quad):
+    """The n_quad-node trapezoid as ``fourier_coefficient`` took it before it
+    evaluated one nested grid of 2*n_quad nodes: its own grid, and fsum over
+    numpy scalars."""
+    return -0.5 * math.fsum(_alpha_integrand(e, j, n_quad)) / n_quad
+
+
+def alpha_series_reference(j: int, e: float) -> float:
+    """``alpha_series`` as Horner's rule on ``Fraction`` objects: exact
+    rational arithmetic on the binary value of e, rounded once at the end.
+    ``alpha_series`` must match it bit for bit."""
+    if j not in _SERIES:
+        raise ValueError(f"series coefficients available only for j in (2, 3), got {j}")
+    if e < 0.0:
+        raise ValueError(f"eccentricity must be >= 0, got {e}")
+    e_exact = Fraction(e)
+    acc = Fraction(0)
+    for k in range(CANONICAL_ORDER[j], -1, -1):
+        acc = acc * e_exact + _SERIES[j].get(k, Fraction(0))
+    return float(acc)
+
+
 def _alpha_exponential(e, j, n_quad):
     t = _quadrature_nodes(n_quad)
     weights = tidal_kernel(e, t) * np.exp(-1j * j * t)
@@ -179,7 +205,8 @@ def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> com
     """
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
-    return _doubling_checked(_alpha_exponential, e, j, n_quad)
+    return _doubling_checked(_alpha_exponential(e, j, n_quad),
+                             _alpha_exponential(e, j, 2 * n_quad), e, j, n_quad)
 
 
 # ------------------------------------------------ periodic functions

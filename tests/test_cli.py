@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from spinorbit import catalog as cat
-from spinorbit import solver
+from spinorbit import cli, solver
 from spinorbit.cli import main
+from spinorbit.potential import alpha_series
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,27 @@ def test_fourier_circular_orbit(capsys):
     for j in (1, 3, 4):
         assert abs(by_j[j]["alpha_quadrature"]) <= 1e-12
     assert by_j[2]["within_bound"] is True
+
+
+@pytest.mark.parametrize("e", ["0", "1e-6"])
+def test_fourier_within_bound_allows_quadrature_round_off(capsys, e):
+    # the j = 3 remainder bound is 0 or ~5.7e-123 here, below the ~1e-17
+    # round-off of the quadrature; the comparison allows FLOAT_SLACK
+    code, out, _ = run_cli(capsys, "fourier", e, "--jmax", "3", "--format", "csv")
+    assert code == 0
+    row3 = out.splitlines()[3].split(",")
+    assert row3[0] == "3" and row3[-1] == "yes"
+    assert 0.0 < abs(float(row3[1]) - float(row3[2])) <= 1e-10
+
+
+def test_fourier_within_bound_beyond_the_allowance_is_no(capsys, monkeypatch):
+    # a quadrature 2e-10 away from the series exceeds the allowance
+    monkeypatch.setattr(cli, "fourier_coefficient",
+                        lambda e, j, n_quad: alpha_series(j, e) + 2e-10 if j == 3 else 0.0)
+    code, out, _ = run_cli(capsys, "fourier", "0", "--jmax", "3", "--format", "json")
+    assert code == 0
+    row3 = json.loads(out)[2]
+    assert row3["remainder_bound"] == 0.0 and row3["within_bound"] is False
 
 
 def test_fourier_outside_disk_marks_unavailable(capsys):

@@ -10,8 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import fourier_coefficient_exponential, fxx_sup_bound, potential_fxx, tidal_kernel
+from oracles import (alpha_series_reference, alpha_trapezoid_reference,
+                     fourier_coefficient_exponential, fxx_sup_bound, potential_fxx,
+                     tidal_kernel)
+from spinorbit import potential
+from spinorbit.catalog import bundled_catalog
 from spinorbit.potential import (
     CANONICAL_B,
     CANONICAL_ORDER,
@@ -90,6 +96,21 @@ def test_fourier_rejects_bad_inputs():
         fourier_coefficient(1.0, 2)
 
 
+@pytest.mark.parametrize("n_quad", [64, 2048, 4096])
+def test_nested_grid_matches_separate_grids(monkeypatch, n_quad):
+    # the n- and 2n-node sums fourier_coefficient checks against each other
+    # are, bit for bit, the trapezoids on their own grids
+    monkeypatch.setattr(potential, "_doubling_checked",
+                        lambda value, refined, e, j, n: (value, refined))
+    for j in range(1, 7):
+        for e in np.linspace(0.0, 0.99, 12):
+            e = float(e)
+            assert fourier_coefficient(e, j, n_quad) == (
+                alpha_trapezoid_reference(e, j, n_quad),
+                alpha_trapezoid_reference(e, j, 2 * n_quad),
+            ), (e, j)
+
+
 def test_fourier_doubling_check_flags_coarse_grids():
     # 64 nodes cannot resolve the integrand at extreme eccentricity
     with pytest.raises(QuadratureError):
@@ -122,6 +143,33 @@ def test_alpha_series_values():
     assert alpha_series(2, 0.1) == pytest.approx(-0.487540625, rel=1e-15)
     with pytest.raises(ValueError):
         alpha_series(4, 0.1)
+
+
+def _same_double(a, b):
+    return a.hex() == b.hex()  # tells -0.0 from 0.0
+
+
+BUNDLED_E = [b.e for b in bundled_catalog("all") + bundled_catalog("minor")]
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_alpha_series_matches_fraction_reference(j):
+    assert len(BUNDLED_E) == 24
+    edge = [0.0, -0.0, 5e-324, math.nextafter(canonical_disk(j), 0.0)]
+    for e in BUNDLED_E + edge:
+        assert _same_double(alpha_series(j, e), alpha_series_reference(j, e)), e
+
+
+@given(st.sampled_from([2, 3]), st.floats(0.0, 1.0, exclude_max=True))
+def test_alpha_series_matches_fraction_reference_random(j, e):
+    assert _same_double(alpha_series(j, e), alpha_series_reference(j, e))
+
+
+@pytest.mark.parametrize("e", [math.inf, math.nan, -math.inf, -0.1])
+def test_alpha_series_refuses_non_finite_or_negative_e(e):
+    for j in (2, 3):
+        with pytest.raises(ValueError, match=r"eccentricity must be finite and >= 0"):
+            alpha_series(j, e)
 
 
 def test_quadrature_matches_series_at_small_eccentricity():

@@ -285,6 +285,16 @@ def test_green_condition_is_two_sided(eta):
             solve()
 
 
+@pytest.mark.parametrize("e", [math.nan, math.inf])
+def test_non_finite_eccentricity_is_refused_by_name(e):
+    params = ResonanceParams(p=1, q=1, e=e, eps=0.01, eta=0.0, nu=1.0)
+    with pytest.raises(ValueError, match="eccentricity must be finite and >= 0"):
+        conditions(params)
+    for solve in (lambda: solve_range(0.1, params), lambda: solve_bifurcation(params)):
+        with pytest.raises(PreconditionError, match="eccentricity must be finite and >= 0"):
+            solve()
+
+
 def test_outside_certified_disk_is_a_precondition_error():
     body = Body("X", "Y", 100.0, 99.9, 99.9, 0.5, 1, 1, None)
     params = ResonanceParams.from_body(body)
