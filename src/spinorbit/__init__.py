@@ -7,6 +7,10 @@ spin-orbit model, and constructs the orbit itself by a spectral
 fixed-point iteration combined with a one-dimensional bracketed root
 search for the resonance phase.  A fixed-step Runge-Kutta integrator
 serves as an independent cross-check.
+
+Only the numpy-free ``catalog`` and ``certification`` names are re-exported
+here; the numpy layer is imported by module (``spinorbit.kepler``,
+``spinorbit.potential``, ``spinorbit.solver``, ``spinorbit.dynamics``).
 """
 
 from .catalog import (
@@ -27,22 +31,6 @@ from .certification import (
     certify_catalog,
     conditions,
     green_eta_cap,
-)
-from .dynamics import SpinState, Trajectory, check_resonance, integrate, orbit_residual
-from .kepler import AnomalyTriple, KeplerError, anomalies, eccentric_anomaly
-from .potential import (
-    alpha_lower_bound,
-    alpha_series,
-    fourier_coefficient,
-    potential_fx,
-    remainder_bound,
-)
-from .solver import (
-    PeriodicFunction,
-    RangeSolution,
-    ResonantOrbit,
-    solve_bifurcation,
-    solve_range,
 )
 
 __version__ = "0.1.0"

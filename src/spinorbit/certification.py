@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .catalog import SUPPORTED_RESONANCES, Body, ResonanceParams
-from .potential import alpha_lower_bound
+from .series import alpha_lower_bound
 
 __all__ = [
     "GREEN_ETA_HAT_MAX",

@@ -24,6 +24,9 @@ the bundled one ('all' = 18 moons + Mercury) by default, or a file path or
 one of moons/mercury/minor/all given with --catalog or through the
 RESONANCE_CATALOG environment variable.  All three write to --out when it
 is given; an --out that cannot be written exits 2.
+
+``certify`` never imports numpy: ``fourier`` and ``orbit`` import the numpy
+modules they use inside their handlers.
 """
 
 import argparse
@@ -36,17 +39,7 @@ from typing import Optional
 
 from . import catalog as cat
 from . import certification as cert
-from . import dynamics, solver
-from .potential import (
-    CANONICAL_B,
-    CANONICAL_ORDER,
-    FLOAT_SLACK,
-    QuadratureError,
-    alpha_series,
-    canonical_disk,
-    fourier_coefficient,
-    remainder_bound,
-)
+from .series import CANONICAL_B, CANONICAL_ORDER, alpha_series, canonical_disk, remainder_bound
 
 _FORMATS = ("csv", "json", "md")
 # documented bound on a returned orbit's equation residual
@@ -104,9 +97,10 @@ def cmd_certify(args) -> int:
 
 
 def _fourier_rows(e: float, j_max: int, n_quad: int):
+    from . import potential
     rows = []
     for j in range(1, j_max + 1):
-        quad = fourier_coefficient(e, j, n_quad)
+        quad = potential.fourier_coefficient(e, j, n_quad)
         row = {"j": j, "alpha_quadrature": quad, "alpha_series": None,
                "remainder_bound": None, "within_bound": None}
         if j in CANONICAL_B and e < canonical_disk(j):
@@ -116,7 +110,7 @@ def _fourier_rows(e: float, j_max: int, n_quad: int):
                 alpha_series=series,
                 remainder_bound=bound,
                 # the quadrature itself is only accurate to FLOAT_SLACK
-                within_bound=abs(quad - series) <= bound + FLOAT_SLACK,
+                within_bound=abs(quad - series) <= bound + potential.FLOAT_SLACK,
             )
         rows.append(row)
     return rows
@@ -145,6 +139,7 @@ def _render_fourier(rows, fmt: str) -> str:
 
 
 def cmd_fourier(args) -> int:
+    from .potential import QuadratureError
     if args.nquad < 64 or args.nquad % 2:
         return _fail("--nquad must be even and >= 64", 2)
     if not 0.0 <= args.e < 1.0:
@@ -160,6 +155,7 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from . import dynamics, solver
     if not (math.isfinite(args.eta) and args.eta >= 0):
         return _fail("--eta must be finite and >= 0", 2)
     if args.samples < 2:

@@ -19,8 +19,9 @@ import numpy as np
 from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
-from spinorbit.potential import (_SERIES, CANONICAL_ORDER, _alpha_integrand,
-                                 _doubling_checked, _quadrature_nodes, potential_fx)
+from spinorbit.potential import (_alpha_integrand, _doubling_checked, _quadrature_nodes,
+                                 potential_fx)
+from spinorbit.series import _SERIES, CANONICAL_ORDER
 from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
 
 # ---------------------------------------------------- Kepler at complex e

@@ -27,13 +27,8 @@ from spinorbit.certification import (
     green_eta_cap,
 )
 from spinorbit.dynamics import SpinState, check_resonance, integrate, orbit_residual
-from spinorbit.potential import (
-    CANONICAL_B,
-    CANONICAL_ORDER,
-    alpha_series,
-    fourier_coefficient,
-    remainder_bound,
-)
+from spinorbit.potential import fourier_coefficient
+from spinorbit.series import CANONICAL_B, CANONICAL_ORDER, alpha_series, remainder_bound
 from spinorbit.solver import PeriodicFunction, solve_bifurcation, solve_range
 
 EXPECTED = {

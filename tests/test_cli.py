@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from spinorbit import catalog as cat
-from spinorbit import cli, solver
+from spinorbit import potential, solver
 from spinorbit.cli import main
-from spinorbit.potential import alpha_series
+from spinorbit.series import alpha_series
 
 
 def run_cli(capsys, *argv):
@@ -117,7 +117,7 @@ def test_fourier_within_bound_allows_quadrature_round_off(capsys, e):
 
 def test_fourier_within_bound_beyond_the_allowance_is_no(capsys, monkeypatch):
     # a quadrature 2e-10 away from the series exceeds the allowance
-    monkeypatch.setattr(cli, "fourier_coefficient",
+    monkeypatch.setattr(potential, "fourier_coefficient",
                         lambda e, j, n_quad: alpha_series(j, e) + 2e-10 if j == 3 else 0.0)
     code, out, _ = run_cli(capsys, "fourier", "0", "--jmax", "3", "--format", "json")
     assert code == 0

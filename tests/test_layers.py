@@ -1,0 +1,56 @@
+"""The certificate stays on the standard library: certify never imports numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spinorbit
+
+SRC = str(Path(spinorbit.__file__).resolve().parents[1])
+
+
+def fresh_interpreter(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports this
+    checkout of the package, and return what it prints as JSON."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    return json.loads(proc.stdout)
+
+
+RUN_CLI = """
+import contextlib, io, json, sys
+from spinorbit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "--catalog", "all", "--format", "csv"], 0),
+    (["certify", "--catalog", "all", "--format", "json"], 0),
+    (["certify", "--catalog", "all", "--format", "md"], 0),
+    (["certify", "--catalog", "minor"], 1),
+    (["certify", "--body", "Moon"], 0),
+    (["certify", "--body", "Nope"], 2),
+], ids=["all-csv", "all-json", "all-md", "minor", "moon", "unknown-body"])
+def test_certify_never_imports_numpy(argv, code):
+    assert fresh_interpreter(RUN_CLI, *argv) == {"code": code, "numpy": False}
+
+
+def test_package_and_certificate_modules_never_import_numpy():
+    code = ("import json, sys; import spinorbit, spinorbit.certification, spinorbit.series; "
+            "print(json.dumps('numpy' in sys.modules))")
+    assert fresh_interpreter(code) is False
+
+
+def test_package_keeps_the_catalog_and_certification_names():
+    assert spinorbit.certify is spinorbit.certification.certify
+    assert spinorbit.load_catalog is spinorbit.catalog.load_catalog
+    assert spinorbit.bundled_catalog is spinorbit.catalog.bundled_catalog
+    assert spinorbit.ResonanceParams is spinorbit.catalog.ResonanceParams

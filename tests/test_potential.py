@@ -18,15 +18,13 @@ from oracles import (alpha_series_reference, alpha_trapezoid_reference,
                      tidal_kernel)
 from spinorbit import potential
 from spinorbit.catalog import bundled_catalog
-from spinorbit.potential import (
+from spinorbit.potential import QuadratureError, fourier_coefficient, potential_fx
+from spinorbit.series import (
     CANONICAL_B,
     CANONICAL_ORDER,
-    QuadratureError,
     alpha_lower_bound,
     alpha_series,
     canonical_disk,
-    fourier_coefficient,
-    potential_fx,
     remainder_bound,
 )
 from test_kepler import bisect_oracle
@@ -143,6 +141,10 @@ def test_alpha_series_values():
     assert alpha_series(2, 0.1) == pytest.approx(-0.487540625, rel=1e-15)
     with pytest.raises(ValueError):
         alpha_series(4, 0.1)
+
+
+def test_truncation_order_is_the_highest_tabulated_power():
+    assert CANONICAL_ORDER == {2: 4, 3: 21}
 
 
 def _same_double(a, b):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from spinorbit.catalog import Body, ResonanceParams
 from spinorbit.certification import certify, reports_to_json
 from spinorbit.dynamics import orbit_residual
-from spinorbit.potential import canonical_disk
+from spinorbit.series import canonical_disk
 from spinorbit.solver import solve_bifurcation
 
 
