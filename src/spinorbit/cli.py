@@ -13,10 +13,9 @@ Three subcommands:
   --nquad nodes do not resolve a coefficient, or when the doubled-node gap
   sits at the quadrature's round-off floor.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
-  at a chosen dissipation eta, verify it by direct integration residuals,
-  and emit it as JSON, always (it takes no --format).  Exit 1 when a
-  condition fails at that eta, the solve fails, or the orbit's equation
-  residual exceeds 1e-9.
+  at a chosen dissipation eta, check its equation residual, and emit it
+  as JSON, always (it takes no --format).  Exit 1 when a condition fails
+  at that eta, the solve fails, or the residual exceeds 1e-9.
 
 Each subcommand declares only the flags its handler reads, and its handler
 receives the parsed namespace.  ``certify`` and ``orbit`` read a catalog:
@@ -183,9 +182,6 @@ def cmd_orbit(args) -> int:
 
     payload = orbit.to_dict(n_samples=args.samples)
     payload["orbit_residual"] = residual
-    payload["resonance_identity_residual"] = dynamics.check_resonance(
-        orbit, body.p, body.q
-    )
     payload["certification"] = cert.certify(body).to_dict()
     return _emit(json.dumps(payload, indent=1) + "\n", args.out)
 

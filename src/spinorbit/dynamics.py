@@ -137,7 +137,9 @@ def check_resonance(trajectory_or_orbit, p: int, q: int) -> float:
 
     Accepts either a Trajectory spanning at least one resonance period
     2 pi q (the grid must align with the period to within 1e-9) or a
-    constructed orbit exposing ``x_of``.
+    constructed orbit exposing ``x_of``.  A constructed orbit meets the
+    identity by construction, so for one this measures only round-off; that
+    branch is kept because the orbit-scan benchmark workload calls it.
     """
     period = 2.0 * math.pi * q
     shift = 2.0 * math.pi * p

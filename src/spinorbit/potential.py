@@ -99,9 +99,9 @@ FLOAT_SLACK = 1e-10
 _FLOOR_MULTIPLE = 1000.0
 
 
-def _doubling_checked(value, refined, e, j, n_quad):
-    """``value`` (alpha_j(e) on n_quad nodes), refused when ``refined`` (on
-    2*n_quad nodes) differs from it by more than FLOAT_SLACK.
+def _doubling_checked(value, refined, e, j, terms):
+    """``value`` (alpha_j(e) on the n_quad = len(terms) nodes), refused when
+    ``refined`` (on 2*n_quad nodes) differs from it by more than FLOAT_SLACK.
 
     The refusal is ``at_floor`` when the gap is within _FLOOR_MULTIPLE of
     2^-52 times the summed |terms| of the n_quad-node trapezoid average,
@@ -109,17 +109,17 @@ def _doubling_checked(value, refined, e, j, n_quad):
     """
     gap = abs(value - refined)
     if gap > FLOAT_SLACK:
-        unit = 2.0**-52 * 0.5 * float(np.mean(np.abs(_alpha_integrand(e, j, n_quad))))
+        unit = 2.0**-52 * 0.5 * float(np.mean(np.abs(terms)))
         if gap <= _FLOOR_MULTIPLE * unit:
             raise QuadratureError(
-                f"alpha_{j}({e}): refinement moved by {gap:.3e} at n_quad={n_quad}, "
+                f"alpha_{j}({e}): refinement moved by {gap:.3e} at n_quad={len(terms)}, "
                 f"{gap / unit:.0f} times the round-off unit of the sum: the "
                 f"gap has reached the round-off floor",
                 at_floor=True,
             )
         raise QuadratureError(
             f"alpha_{j}({e}): refinement moved by {gap:.3e}; "
-            f"n_quad={n_quad} too small"
+            f"n_quad={len(terms)} too small"
         )
     return value
 
@@ -149,4 +149,4 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     if n_quad < 64 or n_quad % 2:
         raise ValueError(f"n_quad must be even and >= 64, got {n_quad}")
     terms = _alpha_integrand(e, j, 2 * n_quad)
-    return _doubling_checked(_trapezoid(terms[::2]), _trapezoid(terms), e, j, n_quad)
+    return _doubling_checked(_trapezoid(terms[::2]), _trapezoid(terms), e, j, terms[::2])

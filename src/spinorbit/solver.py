@@ -162,12 +162,14 @@ def _project(samples, order: int):
 
 @dataclass(frozen=True)
 class RangeSolution:
-    """Fixed point u of the contraction at one phase xi, and phi(xi) there."""
+    """Fixed point u of the contraction at one phase xi, and phi(xi) there.
+
+    ``increments`` holds the sup-norm increment of each iteration, so its
+    length is the iteration count.
+    """
 
     xi: float
     u: PeriodicFunction
-    sup_norm: float
-    iterations: int
     increments: tuple
     phi: float
 
@@ -181,7 +183,6 @@ class ResonantOrbit:
     u: PeriodicFunction
     bifurcation_residual: float
     sign_changes: tuple
-    xi_average: float
 
     def x_of(self, s):
         """Rotation angle at time s (satisfies x(s + 2 pi q) = x(s) + 2 pi p)."""
@@ -207,7 +208,6 @@ class ResonantOrbit:
             "eta": self.params.eta,
             "nu": self.params.nu,
             "xi_star": self.xi_star,
-            "xi_average": self.xi_average,
             "bifurcation_residual": self.bifurcation_residual,
             "sign_changes": [list(br) for br in self.sign_changes],
             "u_coefficients": [[c.real, c.imag] for c in coeffs],
@@ -239,9 +239,9 @@ def _fixed_points(xis, params, order, ws, initial=None):
     ``initial``); only the rows still moving are transformed, and a row is
     frozen once its sup-norm increment is <= _TOL_FIXED_POINT.  A row's
     arithmetic is that of a lone solve, so batching changes no bit.
-    Returns the modes 0..order (m, order+1), the samples (m, n), phi and
-    the steps: one array per iteration, the sup-norm increments of the rows
-    transformed in it (a row's own increments for a single phase).
+    Returns the modes 0..order (m, order+1), phi and the steps: one array
+    per iteration, the sup-norm increments of the rows transformed in it (a
+    row's own increments for a single phase).
     """
     xis = np.asarray(xis, dtype=float)
     multiplier = _green_multiplier(order, params.eta_hat)
@@ -268,7 +268,7 @@ def _fixed_points(xis, params, order, ws, initial=None):
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
     final = ws.neg_fx_samples(xis[:, None], samples).tolist()
-    return coefficients, samples, [-(math.fsum(v) / ws.n) for v in final], steps
+    return coefficients, [-(math.fsum(v) / ws.n) for v in final], steps
 
 
 def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
@@ -284,12 +284,9 @@ def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
     """
     _require(params, ("green", "range"))
     N = _MODES[params.q] if N is None else N
-    coefficients, samples, phi, steps = _fixed_points(
-        [xi], params, N, _Workspace(params, N), initial)
+    coefficients, phi, steps = _fixed_points([xi], params, N, _Workspace(params, N), initial)
     return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
-                         sup_norm=float(np.max(np.abs(samples[0]))),
-                         iterations=len(steps), increments=tuple(float(s[0]) for s in steps),
-                         phi=phi[0])
+                         increments=tuple(float(s[0]) for s in steps), phi=phi[0])
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
@@ -347,12 +344,14 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     phi contains the target; the search (``_bracketed_root``) takes an
     endpoint within tolerance, refuses (SolverError) a bracket without a
     sign change and otherwise keeps one at every step, so the root stays in
-    that interval; ``xi_average`` is that root.  A coarse scan over
+    that interval.  The root is also the time average of x(q t) - p t,
+    because u has zero average by construction.  A coarse scan over
     [0, 2*pi) records every sign-change bracket for diagnostics (existence,
-    not uniqueness, is guaranteed, so several roots may coexist).  The root meets |phi - target| <= 1e-10, each phase's
-    fixed point is solved as in ``solve_range``, and N defaults to 64 for
-    1:1 and 128 for 3:2; with these settings the orbit residual of the
-    certified bodies measured stays far below 1e-9.  Raises
+    not uniqueness, is guaranteed, so several roots may coexist).  The root
+    meets |phi - target| <= 1e-10, each phase's fixed point is solved as in
+    ``solve_range``, and N defaults to 64 for 1:1 and 128 for 3:2; with
+    these settings the orbit residual of the certified bodies measured
+    stays far below 1e-9.  Raises
     PreconditionError unless all four conditions hold at ``params`` (never
     at eps <= 0); these are the conditions ``certify`` reads, so every
     certified eta is accepted.
@@ -367,7 +366,7 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     def phi_tilde(phases):
         new = [xi for xi in dict.fromkeys(phases) if xi not in cache]
         if new:
-            coefficients, _, phi, _ = _fixed_points(new, params, N, ws)
+            coefficients, phi, _ = _fixed_points(new, params, N, ws)
             cache.update((xi, (c, f - target))
                          for xi, c, f in zip(new, coefficients, phi))
         return [cache[xi][1] for xi in phases]
@@ -386,13 +385,10 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
                            _TOL_BIFURCATION)
     coefficients, residual = cache[root]
-    # the time-average normalization (mean of x(q t) - p t) is the root
-    # itself, because u has zero average by construction
     return ResonantOrbit(
         params=params,
         xi_star=root,
         u=PeriodicFunction(coefficients),
         bifurcation_residual=abs(residual),
         sign_changes=tuple(sign_changes),
-        xi_average=root,
     )

@@ -207,7 +207,8 @@ def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> com
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
     return _doubling_checked(_alpha_exponential(e, j, n_quad),
-                             _alpha_exponential(e, j, 2 * n_quad), e, j, n_quad)
+                             _alpha_exponential(e, j, 2 * n_quad), e, j,
+                             _alpha_integrand(e, j, n_quad))
 
 
 # ------------------------------------------------ periodic functions

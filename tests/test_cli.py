@@ -1,5 +1,6 @@
 """Exit-code contract, output formats and determinism of the command line."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -213,8 +214,24 @@ def test_orbit_moon(capsys):
     payload = json.loads(out)
     assert payload["bifurcation_residual"] <= 1e-10
     assert payload["orbit_residual"] <= 1e-9
-    assert payload["resonance_identity_residual"] <= 1e-9
+    assert "resonance_identity_residual" not in payload
     assert payload["certification"]["certified"] is True
+
+
+def test_orbit_reports_each_fact_once(capsys):
+    # the time average of x(q t) - p t is xi_star and x(t + 2 pi q) =
+    # x(t) + 2 pi p holds by construction, so neither is a separate key; a
+    # range solution's max|u| and step count follow from u and increments
+    code, out, _ = run_cli(capsys, "orbit", "Moon", "--eta", "0.004")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "p", "q", "e", "eps", "eta", "nu", "xi_star", "bifurcation_residual",
+        "sign_changes", "u_coefficients", "t", "x", "orbit_residual", "certification",
+    ]
+    assert [f.name for f in dataclasses.fields(solver.ResonantOrbit)] == [
+        "params", "xi_star", "u", "bifurcation_residual", "sign_changes"]
+    assert [f.name for f in dataclasses.fields(solver.RangeSolution)] == [
+        "xi", "u", "increments", "phi"]
 
 
 def test_orbit_mercury_over_cap_refused(capsys):

@@ -167,7 +167,7 @@ def test_orbit_residual_trivial_zero():
     params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)
     orbit = ResonantOrbit(
         params=params, xi_star=0.3, u=zero(8),
-        bifurcation_residual=0.0, sign_changes=(), xi_average=0.3,
+        bifurcation_residual=0.0, sign_changes=(),
     )
     assert orbit_residual(orbit) == 0.0
 
@@ -180,7 +180,7 @@ def test_orbit_residual_certified_moon():
     perturbed = ResonantOrbit(
         params=orbit.params, xi_star=orbit.xi_star, u=scaled(orbit.u, 1.01),
         bifurcation_residual=orbit.bifurcation_residual,
-        sign_changes=orbit.sign_changes, xi_average=orbit.xi_average,
+        sign_changes=orbit.sign_changes,
     )
     assert orbit_residual(perturbed) > base
 
