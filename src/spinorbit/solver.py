@@ -12,9 +12,10 @@ and a scalar ("bifurcation") equation
     phi(xi) := <V_x(xi + p t + u(t; xi), q t)> = eta_hat nu_hat / eps_hat
 
 for the phase xi, solved by a bracketed root search (regula falsi with a
-halving safeguard) on a bracket around the extremizers of the leading term
--2 alpha_j sin(2 xi); phases are solved in batches.  Every numerical failure
-of a solve is a SolverError.
+halving safeguard) on [pi/4, 3 pi/4], the bracket between the extremizers
+of the leading term -2 alpha_j sin(2 xi) on which the certification
+conditions prove a root.  Every numerical failure of a solve is a
+SolverError.
 
 All operations are pure; a solve is deterministic for fixed inputs.
 """
@@ -103,9 +104,9 @@ class PeriodicFunction:
 
 
 def _synthesize(coefficients, n: int):
-    """Values at n uniform nodes of each row of modes 0..N (mode 0 ignored)."""
-    spectrum = np.zeros(coefficients.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    spectrum[..., 1 : coefficients.shape[-1]] = coefficients[..., 1:] * n
+    """Values at n uniform nodes of modes 0..N (mode 0 ignored)."""
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[1 : len(coefficients)] = coefficients[1:] * n
     return np.fft.irfft(spectrum, n)
 
 
@@ -134,29 +135,27 @@ class _Workspace:
 
 
 def _project(samples, order: int):
-    """Zero-mean spectral projection of each row plus aliasing check.
+    """Zero-mean spectral projection plus aliasing check.
 
-    Returns (modes 0..order with mode 0 zeroed, removed means).  Raises
-    SolverError when, in any row, the top third of the resolved band
-    holds more than 1e-8 of the total oscillatory energy.
+    Returns (modes 0..order with mode 0 zeroed, removed mean).  Raises
+    SolverError when the top third of the resolved band holds more than
+    1e-8 of the total oscillatory energy.
     """
-    n = samples.shape[-1]
+    n = len(samples)
     spectrum = np.fft.rfft(samples) / n
-    mean = spectrum[..., 0].real.copy()
-    energy = np.abs(spectrum[..., 1:]) ** 2
-    cutoff = int(math.ceil(2.0 * energy.shape[-1] / 3.0))
+    mean = spectrum[0].real
+    energy = np.abs(spectrum[1:]) ** 2
+    cutoff = int(math.ceil(2.0 * len(energy) / 3.0))
     # reference power includes the mean so that rounding noise riding on a
     # constant signal does not masquerade as aliasing; signals below the
     # double-precision noise floor are treated as resolved
-    total = np.sum(energy, axis=-1) + mean * mean
-    top = np.sum(energy[..., cutoff:], axis=-1)
-    aliased = np.flatnonzero((top > 1e-8 * total) & (total > 1e-20))
-    if len(aliased):
-        fraction = np.ravel(top)[aliased[0]] / np.ravel(total)[aliased[0]]
+    total = np.sum(energy) + mean * mean
+    top = np.sum(energy[cutoff:])
+    if top > 1e-8 * total and total > 1e-20:
         raise SolverError(f"unresolved collocation spectrum (top-band energy fraction "
-                          f"{fraction:.2e} of the signal power); increase the truncation order")
-    c = spectrum[..., : order + 1]
-    c[..., 0] = 0.0
+                          f"{top / total:.2e} of the signal power); increase the truncation order")
+    c = spectrum[: order + 1]
+    c[0] = 0.0
     return c, mean
 
 
@@ -182,7 +181,6 @@ class ResonantOrbit:
     xi_star: float
     u: PeriodicFunction
     bifurcation_residual: float
-    sign_changes: tuple
 
     def x_of(self, s):
         """Rotation angle at time s (satisfies x(s + 2 pi q) = x(s) + 2 pi p)."""
@@ -209,7 +207,6 @@ class ResonantOrbit:
             "nu": self.params.nu,
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
-            "sign_changes": [list(br) for br in self.sign_changes],
             "u_coefficients": [[c.real, c.imag] for c in coeffs],
             "t": list(s),
             "x": list(np.asarray(self.x_of(s), dtype=float)),
@@ -232,43 +229,30 @@ def _require(params: ResonanceParams, names):
             raise PreconditionError(reason)
 
 
-def _fixed_points(xis, params, order, ws, initial=None):
-    """Fixed points u(.; xi) of the contraction at every phase of ``xis``.
+def _fixed_point(xi, params, order, ws, initial=None):
+    """Fixed point u(.; xi) of the contraction at the phase xi.
 
-    Iterates an (m, n) matrix of samples, one row per phase, from u = 0 (or
-    ``initial``); only the rows still moving are transformed, and a row is
-    frozen once its sup-norm increment is <= _TOL_FIXED_POINT.  A row's
-    arithmetic is that of a lone solve, so batching changes no bit.
-    Returns the modes 0..order (m, order+1), phi and the steps: one array
-    per iteration, the sup-norm increments of the rows transformed in it (a
-    row's own increments for a single phase).
+    Iterates from u = 0 (or ``initial``) until the sup-norm increment is
+    <= _TOL_FIXED_POINT.  Returns the modes 0..order, phi(xi) and the
+    increment of each iteration.
     """
-    xis = np.asarray(xis, dtype=float)
     multiplier = _green_multiplier(order, params.eta_hat)
-    start = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
-    samples = np.tile(start, (len(xis), 1))
-    coefficients = np.zeros((len(xis), order + 1), dtype=complex)
+    samples = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     steps = []
-    active = np.arange(len(xis))
     for _ in range(_RANGE_ITERATION_CAP):
-        old = samples[active]
-        rhs, _ = _project(ws.neg_fx_samples(xis[active, None], old), order)
-        coefficients[active] = c = (rhs * multiplier) * params.eps_hat
-        samples[active] = new = _synthesize(c, ws.n)
-        step = np.max(np.abs(new - old), axis=-1)
-        steps.append(step)
-        moving = ~(step <= _TOL_FIXED_POINT)
-        active = active[moving]
-        if not len(active):
+        rhs, _ = _project(ws.neg_fx_samples(xi, samples), order)
+        c = (rhs * multiplier) * params.eps_hat
+        new = _synthesize(c, ws.n)
+        steps.append(float(np.max(np.abs(new - samples))))
+        samples = new
+        if steps[-1] <= _TOL_FIXED_POINT:
             break
     else:
         raise SolverError(f"fixed-point iteration cap {_RANGE_ITERATION_CAP} reached at "
-                          f"xi={xis[active[0]]:.6g} (last increment {step[moving][0]:.3e}); "
-                          f"check N")
+                          f"xi={xi:.6g} (last increment {steps[-1]:.3e}); check N")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    final = ws.neg_fx_samples(xis[:, None], samples).tolist()
-    return coefficients, [-(math.fsum(v) / ws.n) for v in final], steps
+    return c, -(math.fsum(ws.neg_fx_samples(xi, samples).tolist()) / ws.n), steps
 
 
 def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
@@ -284,9 +268,9 @@ def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
     """
     _require(params, ("green", "range"))
     N = _MODES[params.q] if N is None else N
-    coefficients, phi, steps = _fixed_points([xi], params, N, _Workspace(params, N), initial)
-    return RangeSolution(xi=xi, u=PeriodicFunction(coefficients[0]),
-                         increments=tuple(float(s[0]) for s in steps), phi=phi[0])
+    coefficients, phi, steps = _fixed_point(xi, params, N, _Workspace(params, N), initial)
+    return RangeSolution(xi=xi, u=PeriodicFunction(coefficients), increments=tuple(steps),
+                         phi=phi)
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
@@ -336,7 +320,7 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
 
 
 def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
-                      scan_points: int = 64) -> ResonantOrbit:
+                      scan_points: int = 0) -> ResonantOrbit:
     """Find xi* with phi(xi*) = eta_hat nu_hat / eps_hat and assemble the orbit.
 
     Roots phi - target on [pi/4, 3*pi/4], the bracket between the
@@ -344,51 +328,38 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     phi contains the target; the search (``_bracketed_root``) takes an
     endpoint within tolerance, refuses (SolverError) a bracket without a
     sign change and otherwise keeps one at every step, so the root stays in
-    that interval.  The root is also the time average of x(q t) - p t,
-    because u has zero average by construction.  A coarse scan over
-    [0, 2*pi) records every sign-change bracket for diagnostics (existence,
-    not uniqueness, is guaranteed, so several roots may coexist).  The root
-    meets |phi - target| <= 1e-10, each phase's fixed point is solved as in
-    ``solve_range``, and N defaults to 64 for 1:1 and 128 for 3:2; with
-    these settings the orbit residual of the certified bodies measured
-    stays far below 1e-9.  Raises
+    that interval.  Existence, not uniqueness, is guaranteed: other roots
+    may lie outside the bracket (phi(xi + pi) = phi(xi) gives at least one).
+    The root is also the time average of x(q t) - p t, because u has zero
+    average by construction.  The root meets |phi - target| <= 1e-10, each
+    phase's fixed point is solved as in ``solve_range``, and N defaults to
+    64 for 1:1 and 128 for 3:2; with these settings the orbit residual of
+    the certified bodies measured stays far below 1e-9.  ``scan_points``
+    accepts only 0 (there is no phase scan); any other value is a
+    ValueError.  Raises
     PreconditionError unless all four conditions hold at ``params`` (never
     at eps <= 0); these are the conditions ``certify`` reads, so every
     certified eta is accepted.
     """
+    if scan_points != 0:
+        raise ValueError(f"scan_points must be 0 (there is no phase scan), got {scan_points!r}")
     _require(params, ("green", "range", "nonempty", "bifurcation"))
     N = _MODES[params.q] if N is None else N
     target = params.eta_hat * params.nu_hat / params.eps_hat
-
     ws = _Workspace(params, N)
-    cache = {}
+    solved = {}
 
-    def phi_tilde(phases):
-        new = [xi for xi in dict.fromkeys(phases) if xi not in cache]
-        if new:
-            coefficients, phi, _ = _fixed_points(new, params, N, ws)
-            cache.update((xi, (c, f - target))
-                         for xi, c, f in zip(new, coefficients, phi))
-        return [cache[xi][1] for xi in phases]
+    def phi_tilde(xi):
+        coefficients, phi, _ = _fixed_point(xi, params, N, ws)
+        solved[xi] = coefficients, phi - target
+        return phi - target
 
-    # diagnostic scan: all sign changes of phi - target on a coarse grid,
-    # solved in one batch with the bracket endpoints
     lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
-    grid = (2.0 * np.pi * np.arange(scan_points) / scan_points).tolist()
-    *vals, f_lo, f_hi = phi_tilde(grid + [lo, hi])
-    sign_changes = []
-    for i in range(scan_points):
-        a, b = vals[i], vals[(i + 1) % scan_points]
-        if a == 0.0 or (a < 0.0) != (b < 0.0):
-            sign_changes.append((grid[i], grid[(i + 1) % scan_points]))
-
-    root = _bracketed_root(lambda xi: phi_tilde([xi])[0], lo, hi, f_lo, f_hi,
-                           _TOL_BIFURCATION)
-    coefficients, residual = cache[root]
+    root = _bracketed_root(phi_tilde, lo, hi, phi_tilde(lo), phi_tilde(hi), _TOL_BIFURCATION)
+    coefficients, residual = solved[root]
     return ResonantOrbit(
         params=params,
         xi_star=root,
         u=PeriodicFunction(coefficients),
         bifurcation_residual=abs(residual),
-        sign_changes=tuple(sign_changes),
     )

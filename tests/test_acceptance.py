@@ -189,7 +189,7 @@ def test_criterion_8_constructive_solutions_across_catalog():
         cap = certify(body).eta_admissible
         for eta in (0.0, cap):
             params = ResonanceParams.from_body(body, eta=eta)
-            orbit = solve_bifurcation(params, scan_points=0)
+            orbit = solve_bifurcation(params)
             residual = orbit_residual(orbit)
             assert residual <= 1e-9, (body.name, eta, residual)
             ball = 2.5 * params.eps_hat / (1.0 - params.e) ** 3

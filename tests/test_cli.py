@@ -226,10 +226,10 @@ def test_orbit_reports_each_fact_once(capsys):
     assert code == 0
     assert list(json.loads(out)) == [
         "p", "q", "e", "eps", "eta", "nu", "xi_star", "bifurcation_residual",
-        "sign_changes", "u_coefficients", "t", "x", "orbit_residual", "certification",
+        "u_coefficients", "t", "x", "orbit_residual", "certification",
     ]
     assert [f.name for f in dataclasses.fields(solver.ResonantOrbit)] == [
-        "params", "xi_star", "u", "bifurcation_residual", "sign_changes"]
+        "params", "xi_star", "u", "bifurcation_residual"]
     assert [f.name for f in dataclasses.fields(solver.RangeSolution)] == [
         "xi", "u", "increments", "phi"]
 

@@ -128,7 +128,7 @@ def _assert_matches_reference(state, t_end, params, step=DEFAULT_STEP):
 def test_integrate_bit_identical_to_numpy_scalar_loop(body):
     for eta in (0.0, certify(body).eta_admissible):
         params = ResonanceParams.from_body(body, eta=eta)
-        x0, v0 = solve_bifurcation(params, scan_points=0).initial_state()
+        x0, v0 = solve_bifurcation(params).initial_state()
         _assert_matches_reference(SpinState(x0, v0, 0.0), TWO_PI * body.q, params)
 
 
@@ -159,7 +159,7 @@ def test_check_resonance_span_and_alignment_errors():
 
 def test_orbit_reconstruction_residual_is_zero_by_construction():
     moon = bundled_catalog("moons")[0]
-    orbit = solve_bifurcation(ResonanceParams.from_body(moon), scan_points=0)
+    orbit = solve_bifurcation(ResonanceParams.from_body(moon))
     assert check_resonance(orbit, 1, 1) <= 1e-9
 
 
@@ -167,20 +167,19 @@ def test_orbit_residual_trivial_zero():
     params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)
     orbit = ResonantOrbit(
         params=params, xi_star=0.3, u=zero(8),
-        bifurcation_residual=0.0, sign_changes=(),
+        bifurcation_residual=0.0,
     )
     assert orbit_residual(orbit) == 0.0
 
 
 def test_orbit_residual_certified_moon():
     moon = bundled_catalog("moons")[0]
-    orbit = solve_bifurcation(ResonanceParams.from_body(moon), scan_points=0)
+    orbit = solve_bifurcation(ResonanceParams.from_body(moon))
     base = orbit_residual(orbit)
     assert base <= 1e-9
     perturbed = ResonantOrbit(
         params=orbit.params, xi_star=orbit.xi_star, u=scaled(orbit.u, 1.01),
         bifurcation_residual=orbit.bifurcation_residual,
-        sign_changes=orbit.sign_changes,
     )
     assert orbit_residual(perturbed) > base
 
@@ -188,7 +187,7 @@ def test_orbit_residual_certified_moon():
 def test_rk4_reproduces_constructed_orbit():
     moon = bundled_catalog("moons")[0]
     params = ResonanceParams.from_body(moon, eta=0.0)
-    orbit = solve_bifurcation(params, scan_points=0)
+    orbit = solve_bifurcation(params)
     x0, v0 = orbit.initial_state()
     traj = integrate(SpinState(x0, v0, 0.0), TWO_PI * params.q, params)
     gap = np.max(np.abs(traj.x - np.asarray(orbit.x_of(traj.t))))
@@ -202,7 +201,7 @@ def test_dissipative_attraction_logged_not_asserted():
     # the certified statement, so this records the observation only.
     moon = bundled_catalog("moons")[0]
     params = ResonanceParams.from_body(moon, eta=0.004)
-    orbit = solve_bifurcation(params, scan_points=0)
+    orbit = solve_bifurcation(params)
     x0, v0 = orbit.initial_state()
     periods = 50
     traj = integrate(

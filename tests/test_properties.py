@@ -42,5 +42,5 @@ def test_certify_is_total_strict_and_certified_bodies_solve(body):
     if report.certified:
         for eta in (0.0, report.eta_admissible):
             params = ResonanceParams.from_body(body, eta=eta)
-            orbit = solve_bifurcation(params, scan_points=0)
+            orbit = solve_bifurcation(params)
             assert orbit_residual(orbit) <= 1e-9, (body, eta)

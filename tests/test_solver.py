@@ -1,5 +1,6 @@
 """Spectral representation, Green operator, contraction and phase equation."""
 
+import inspect
 import math
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_evaluate_matches_matrix_reference():
     # Horner in exp(i t) against the exponential matrix, on Mercury's
     # 8193-point RK4 grid over one resonance period
     params = mercury_params()
-    u = solve_bifurcation(params, N=128, scan_points=0).u
+    u = solve_bifurcation(params, N=128).u
     t = 2.0 * math.pi * np.arange(8193) / 8192
     assert np.max(np.abs(u.evaluate(t) - evaluate_matrix(u, t))) <= 1e-15
 
@@ -326,21 +327,15 @@ def test_phi_mean_vanishes_at_zero_phase_without_dissipation():
 
 def test_bifurcation_root_without_dissipation():
     params = moon_params()
-    orbit = solve_bifurcation(params, scan_points=16)
+    orbit = solve_bifurcation(params)
     assert orbit.xi_star == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert orbit.bifurcation_residual <= 1e-10
     assert math.pi / 4.0 <= orbit.xi_star <= 3.0 * math.pi / 4.0
 
 
-def test_bifurcation_scan_reports_symmetry_roots():
-    orbit = solve_bifurcation(moon_params(), scan_points=64)
-    # brackets around each of 0, pi/2, pi, 3pi/2
-    assert len(orbit.sign_changes) == 4
-
-
 def test_bifurcation_with_dissipation():
     params = mercury_params(eta=0.001)
-    orbit = solve_bifurcation(params, N=128, scan_points=0)
+    orbit = solve_bifurcation(params, N=128)
     assert orbit.bifurcation_residual <= 1e-10
     target = params.eta_hat * params.nu_hat / params.eps_hat
     phi = solve_range(orbit.xi_star, params, N=128).phi
@@ -361,7 +356,7 @@ def test_bifurcation_at_boundary_target():
     assert abs(params.eta_hat * params.nu_hat / params.eps_hat) == pytest.approx(
         conditions(params).halfwidth, rel=1e-12
     )
-    orbit = solve_bifurcation(params, N=128, scan_points=0)
+    orbit = solve_bifurcation(params, N=128)
     assert orbit.bifurcation_residual <= 1e-10
 
 
@@ -386,7 +381,7 @@ def test_solver_accepts_exactly_the_certified_etas():
         for eta in (0.0, cap, math.nextafter(cap, math.inf), 2.0 * cap):
             params = ResonanceParams.from_body(body, eta=eta)
             try:
-                orbit = solve_bifurcation(params, scan_points=0)
+                orbit = solve_bifurcation(params)
             except PreconditionError:
                 accepted = False
             else:
@@ -400,11 +395,11 @@ def test_solver_accepts_exactly_the_certified_etas():
 def test_bifurcation_refuses_oversized_target():
     params = ResonanceParams(p=1, q=1, e=0.0549, eps=1e-6, eta=0.008, nu=1.2)
     with pytest.raises(PreconditionError, match="half-width"):
-        solve_bifurcation(params, scan_points=0)
+        solve_bifurcation(params)
 
 
 def test_orbit_reconstruction_identity():
-    orbit = solve_bifurcation(moon_params(), scan_points=0)
+    orbit = solve_bifurcation(moon_params())
     s = np.linspace(0.0, 4.0 * math.pi, 50)
     lhs = orbit.x_of(s + 2.0 * math.pi * orbit.params.q)
     rhs = np.asarray(orbit.x_of(s)) + 2.0 * math.pi * orbit.params.p
@@ -414,7 +409,7 @@ def test_orbit_reconstruction_identity():
 def test_orbit_export_round_trip():
     import json
 
-    orbit = solve_bifurcation(moon_params(), scan_points=0)
+    orbit = solve_bifurcation(moon_params())
     payload = json.loads(orbit.to_json(n_samples=32))
     assert payload["p"] == 1 and payload["q"] == 1
     assert payload["xi_star"] == pytest.approx(orbit.xi_star)
@@ -424,13 +419,12 @@ def test_orbit_export_round_trip():
     assert len(payload["x"]) == 32
 
 
-# ------------------------------------- batched kernel against per-phase solves
+# --------------------------------------- phase kernel against per-phase solves
 #
-# Reference: the scalar solver as it was before the phases were batched --
-# one fixed-point loop per phase on PeriodicFunction values, driven by the
-# same scan and by bisection.  Every phase solve of solve_bifurcation must
-# reproduce it bit for bit; its root agrees with the bisection root to
-# within 1e-9.
+# Reference: one fixed-point loop per phase on PeriodicFunction values,
+# driven by bisection on [pi/4, 3pi/4].  Every phase solve of
+# solve_bifurcation must reproduce it bit for bit; its root agrees with the
+# bisection root to within 1e-9.
 
 
 def _project_reference(samples, order):
@@ -478,27 +472,20 @@ def _phase_reference(params, N, tol_fixed_point=1e-12):
     return solve, ws
 
 
-def _bifurcation_reference(solve, target, scan_points=64, tol_bifurcation=1e-10):
-    """(bisection root, sign_changes) of phi - target from the per-phase solve."""
-    grid = 2.0 * np.pi * np.arange(scan_points) / scan_points
-    vals = [solve(float(g))[1] - target for g in grid]
-    sign_changes = tuple(
-        (float(grid[i]), float(grid[(i + 1) % scan_points]))
-        for i in range(scan_points)
-        if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[(i + 1) % scan_points] < 0.0)
-    )
+def _bifurcation_reference(solve, target, tol_bifurcation=1e-10):
+    """Bisection root of phi - target on [pi/4, 3pi/4] from the per-phase solve."""
     lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
     f_lo, f_hi = solve(lo)[1] - target, solve(hi)[1] - target
     if abs(f_lo) <= tol_bifurcation:
-        return lo, sign_changes
+        return lo
     if abs(f_hi) <= tol_bifurcation:
-        return hi, sign_changes
+        return hi
     assert f_lo > 0.0 > f_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = solve(mid)[1] - target
         if abs(f_mid) <= tol_bifurcation:
-            return mid, sign_changes
+            return mid
         lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
     pytest.fail("reference bisection did not converge")
 
@@ -511,16 +498,15 @@ def _certified_bodies():
 
 
 def test_batched_solve_matches_per_phase_reference(monkeypatch):
-    grid = (2.0 * np.pi * np.arange(64) / 64).tolist()
-    kernel = solver._fixed_points
+    kernel = solver._fixed_point
     seen = {}
 
-    def recording_kernel(xis, *args, **kwargs):
-        result = kernel(xis, *args, **kwargs)
-        seen.update(zip(list(xis), result[1]))
+    def recording_kernel(xi, *args, **kwargs):
+        result = kernel(xi, *args, **kwargs)
+        seen[xi] = result[1]
         return result
 
-    monkeypatch.setattr(solver, "_fixed_points", recording_kernel)
+    monkeypatch.setattr(solver, "_fixed_point", recording_kernel)
     for body in _certified_bodies():
         cap = certify(body).eta_admissible
         for eta in (0.0, 0.5 * cap, cap):
@@ -529,34 +515,34 @@ def test_batched_solve_matches_per_phase_reference(monkeypatch):
             seen.clear()
             orbit = solve_bifurcation(params)
             solve, ws = _phase_reference(params, solver._MODES[body.q])
-            root, sign_changes = _bifurcation_reference(solve, target)
+            root = _bifurcation_reference(solve, target)
             case = (body.name, eta)
             # the root: near bisection's, inside the bracket, within tolerance
             assert abs(orbit.xi_star - root) <= 1e-9, case
             assert math.pi / 4.0 <= orbit.xi_star <= 3.0 * math.pi / 4.0, case
             assert orbit.bifurcation_residual <= 1e-10, case
-            assert orbit.sign_changes == sign_changes, case
             # the orbit is the per-phase solve at that root
             u, phi = solve(orbit.xi_star)
             assert np.array_equal(orbit.u.coefficients, u.coefficients), case
             assert orbit.bifurcation_residual == abs(phi - target), case
             # the time average of x(q t) - p t is the root itself
             assert orbit.xi_star + float(np.mean(u.samples(ws.n))) == orbit.xi_star, case
-            # every phase solved, the 64 scan phases included, gives the same phi
-            assert set(grid) <= set(seen), case
+            # every phase solved lies in the bracket and gives the same phi
+            assert all(math.pi / 4.0 <= xi <= 3.0 * math.pi / 4.0 for xi in seen), case
             assert all(seen[xi] == solve(xi)[1] for xi in seen), case
 
 
 def test_root_search_makes_few_kernel_calls(monkeypatch):
-    # the scan plus a handful of one-row solves; bisection made ~30
-    kernel = solver._fixed_points
+    # one call per phase solve: the 2 bracket endpoints plus a handful of
+    # root steps; bisection made ~30 steps
+    kernel = solver._fixed_point
     calls = []
 
     def counting_kernel(*args, **kwargs):
         calls[-1] += 1
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_fixed_points", counting_kernel)
+    monkeypatch.setattr(solver, "_fixed_point", counting_kernel)
     for body in _certified_bodies():
         cap = certify(body).eta_admissible
         for eta in (0.5 * cap, cap):
@@ -623,9 +609,16 @@ def test_root_search_stagnation_names_the_width(monkeypatch):
 
 def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
     monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
-    for scan_points in (64, 0):
-        with pytest.raises(SolverError, match="unresolved collocation spectrum"):
-            solve_bifurcation(mercury_params(), N=2, scan_points=scan_points)
+    with pytest.raises(SolverError, match="unresolved collocation spectrum"):
+        solve_bifurcation(mercury_params(), N=2)
+
+
+def test_scan_points_accepts_only_zero():
+    # the phase scan is gone: the parameter defaults to 0, its one value
+    assert inspect.signature(solve_bifurcation).parameters["scan_points"].default == 0
+    for scan_points in (64, 1):
+        with pytest.raises(ValueError, match="scan_points"):
+            solve_bifurcation(moon_params(), scan_points=scan_points)
 
 
 def test_solve_range_iteration_cap(monkeypatch):
