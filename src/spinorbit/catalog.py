@@ -23,7 +23,6 @@ absent, empty or null.  Three transcribed catalogs ship with the package
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -294,7 +293,7 @@ def bundled_catalog_path(name: str) -> Path:
     files = BUNDLED_NAMES[:-1]  # 'all' is a concatenation, not a file
     if name not in files:
         raise ValueError(f"no bundled catalog {name!r}; choose from {'/'.join(files)}")
-    return Path(resources.files("spinorbit").joinpath(f"data/{name}.csv"))
+    return Path(__file__).with_name("data") / f"{name}.csv"
 
 
 def bundled_catalog(name: str) -> list:

@@ -6,8 +6,9 @@ with u a 2*pi-periodic zero-average correction.  u solves
     u'' + eta_hat u' = eta_hat nu_hat - eps_hat V_x(xi + p t + u(t), q t)
 
 which splits into a fixed-point ("range") equation on the zero-average
-part, solved here by contraction in a truncated Fourier representation,
-and a scalar ("bifurcation") equation
+part, solved here one phase at a time by contraction in a truncated
+Fourier representation (one RangeSolution per phase solve), and a scalar
+("bifurcation") equation
 
     phi(xi) := <V_x(xi + p t + u(t; xi), q t)> = eta_hat nu_hat / eps_hat
 
@@ -119,9 +120,12 @@ def _green_multiplier(order: int, eta_hat: float):
 
 
 class _Workspace:
-    """Cached orbit geometry on the collocation grid of truncation order N."""
+    """Order N, eps_hat, Green multiplier and grid geometry: what every phase solve shares."""
 
     def __init__(self, params: ResonanceParams, order: int):
+        self.order = order
+        self.eps_hat = params.eps_hat
+        self.multiplier = _green_multiplier(order, params.eta_hat)
         self.n = n = max(4 * order, _COLLOCATION_MIN)
         t = 2.0 * np.pi * np.arange(n) / n
         self.pt = params.p * t
@@ -229,19 +233,17 @@ def _require(params: ResonanceParams, names):
             raise PreconditionError(reason)
 
 
-def _fixed_point(xi, params, order, ws, initial=None):
-    """Fixed point u(.; xi) of the contraction at the phase xi.
+def _fixed_point(xi, ws, initial=None) -> RangeSolution:
+    """Fixed point u(.; xi) of the contraction at the phase xi, and phi(xi).
 
-    Iterates from u = 0 (or ``initial``) until the sup-norm increment is
-    <= _TOL_FIXED_POINT.  Returns the modes 0..order, phi(xi) and the
-    increment of each iteration.
+    Iterates on the workspace ``ws`` from u = 0 (or ``initial``) until the
+    sup-norm increment is <= _TOL_FIXED_POINT.
     """
-    multiplier = _green_multiplier(order, params.eta_hat)
     samples = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     steps = []
     for _ in range(_RANGE_ITERATION_CAP):
-        rhs, _ = _project(ws.neg_fx_samples(xi, samples), order)
-        c = (rhs * multiplier) * params.eps_hat
+        rhs, _ = _project(ws.neg_fx_samples(xi, samples), ws.order)
+        c = (rhs * ws.multiplier) * ws.eps_hat
         new = _synthesize(c, ws.n)
         steps.append(float(np.max(np.abs(new - samples))))
         samples = new
@@ -252,7 +254,8 @@ def _fixed_point(xi, params, order, ws, initial=None):
                           f"xi={xi:.6g} (last increment {steps[-1]:.3e}); check N")
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    return c, -(math.fsum(ws.neg_fx_samples(xi, samples).tolist()) / ws.n), steps
+    phi = -(math.fsum(ws.neg_fx_samples(xi, samples).tolist()) / ws.n)
+    return RangeSolution(xi=xi, u=PeriodicFunction(c), increments=tuple(steps), phi=phi)
 
 
 def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
@@ -264,28 +267,28 @@ def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
     sup|V_xx| < 1 under the range condition, which is checked (with the
     Green-norm condition) before iterating.  The fixed point is unique in
     its ball, so the starting iterate only affects the step count.  The
-    truncation order N defaults to 64 for 1:1 and 128 for 3:2.
+    truncation order N defaults to 64 for 1:1 and 128 for 3:2.  This is
+    the phase solve ``solve_bifurcation`` makes at each phase it tries.
     """
     _require(params, ("green", "range"))
     N = _MODES[params.q] if N is None else N
-    coefficients, phi, steps = _fixed_point(xi, params, N, _Workspace(params, N), initial)
-    return RangeSolution(xi=xi, u=PeriodicFunction(coefficients), increments=tuple(steps),
-                         phi=phi)
+    return _fixed_point(xi, _Workspace(params, N), initial)
 
 
-def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
-    """A point x of [lo, hi] with |f(x)| <= tol, given f_lo = f(lo) >= 0 and
-    f_hi = f(hi) <= 0.
+def _bracketed_root(f, lo, hi, tol):
+    """A point x of [lo, hi] with |f(x)| <= tol, for f(lo) >= 0 >= f(hi).
 
-    An endpoint within tol is returned without calling f (lo first), and a
-    bracket with f_lo < 0 or f_hi > 0 is refused with SolverError.  Otherwise
-    Anderson-Bjorck regula falsi that always keeps the sign bracket: a step
-    outside the open bracket, or one after three steps that together did
-    not halve it, is replaced by the midpoint.  Raises SolverError once the
+    f is called at lo and then at hi.  An endpoint within tol is returned
+    with no further call (lo first), and a bracket with f(lo) < 0 or
+    f(hi) > 0 is refused with SolverError.  Otherwise Anderson-Bjorck
+    regula falsi that always keeps the sign bracket: a step outside the
+    open bracket, or one after three steps that together did not halve
+    it, is replaced by the midpoint.  Raises SolverError once the
     bracket is narrower than 1e-15; for |lo|, |hi| < 4, as for the phase
     bracket, a wider bracket is at least three units in the last place
     wide, so its midpoint lies strictly inside.
     """
+    f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo
     if abs(f_hi) <= tol:
@@ -350,16 +353,13 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     solved = {}
 
     def phi_tilde(xi):
-        coefficients, phi, _ = _fixed_point(xi, params, N, ws)
-        solved[xi] = coefficients, phi - target
-        return phi - target
+        solved[xi] = _fixed_point(xi, ws)
+        return solved[xi].phi - target
 
-    lo, hi = math.pi / 4.0, 3.0 * math.pi / 4.0
-    root = _bracketed_root(phi_tilde, lo, hi, phi_tilde(lo), phi_tilde(hi), _TOL_BIFURCATION)
-    coefficients, residual = solved[root]
+    root = _bracketed_root(phi_tilde, math.pi / 4.0, 3.0 * math.pi / 4.0, _TOL_BIFURCATION)
     return ResonantOrbit(
         params=params,
         xi_star=root,
-        u=PeriodicFunction(coefficients),
-        bifurcation_residual=abs(residual),
+        u=solved[root].u,
+        bifurcation_residual=abs(solved[root].phi - target),
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import green_apply, green_norm_bound, sup_norm
-from spinorbit.catalog import ResonanceParams, bundled_catalog
+from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import (
     GREEN_ETA_HAT_MAX,
     certify,
@@ -151,6 +151,23 @@ def test_mercury_row_matches_frozen_table():
     assert rep.eta_green_max == pytest.approx(exp["eta_green_max"], rel=1e-12)
     assert rep.eta_bif_max == pytest.approx(exp["eta_bif_max"], rel=1e-12)
     assert rep.certified and rep.eta_admissible >= 0.001
+
+
+# Known defects, pinned so that the change which mends each one flips its test.
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="a row outside the certified disk ends in a ValueError")
+def test_row_outside_the_disk_is_a_no():
+    rep = certify(Body("X", "Y", 100.0, 99.9, 99.9, 0.5, 1, 1))
+    assert not rep.certified and rep.alpha_lower == -math.inf
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the bifurcation ceiling is rounded to nearest, not down")
+def test_mercury_eta_admissible_never_above_frozen():
+    (merc,) = bundled_catalog("mercury")
+    assert certify(merc).eta_admissible <= EXPECTED["Mercury"]["eta_admissible"]
 
 
 def test_report_invariants():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,12 @@ import spinorbit
 SRC = str(Path(spinorbit.__file__).resolve().parents[1])
 
 
-def fresh_interpreter(code, *args):
-    """Run ``code`` with ``args`` in a new interpreter that imports this
-    checkout of the package, and return what it prints as JSON."""
+def fresh_interpreter(code, *args, flags=()):
+    """Run ``code`` with ``args`` in a new interpreter (started with the
+    interpreter ``flags``) that imports this checkout of the package, and
+    return what it prints as JSON."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
     return json.loads(proc.stdout)
 
@@ -41,6 +43,18 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 ], ids=["all-csv", "all-json", "all-md", "minor", "moon", "unknown-body"])
 def test_certify_never_imports_numpy(argv, code):
     assert fresh_interpreter(RUN_CLI, *argv) == {"code": code, "numpy": False}
+
+
+def test_certify_loads_neither_numpy_nor_importlib_resources():
+    # -S, because an installed .pth file may import importlib.resources in site
+    code = ("import contextlib, io, json, sys; from spinorbit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['certify', '--catalog', 'all'])\n"
+            "print(json.dumps([code, 'numpy' in sys.modules, 'importlib.resources' in sys.modules]))")
+    assert fresh_interpreter(code, flags=["-S"]) == [0, False, False]
+    for name in ("moons", "mercury", "minor"):
+        packaged = Path(resources.files("spinorbit").joinpath(f"data/{name}.csv"))
+        assert spinorbit.bundled_catalog_path(name) == packaged
 
 
 def test_package_and_certificate_modules_never_import_numpy():

@@ -497,13 +497,13 @@ def _certified_bodies():
     return bodies
 
 
-def test_batched_solve_matches_per_phase_reference(monkeypatch):
+def test_phase_solves_match_per_phase_reference(monkeypatch):
     kernel = solver._fixed_point
     seen = {}
 
     def recording_kernel(xi, *args, **kwargs):
         result = kernel(xi, *args, **kwargs)
-        seen[xi] = result[1]
+        seen[xi] = result.phi
         return result
 
     monkeypatch.setattr(solver, "_fixed_point", recording_kernel)
@@ -552,6 +552,32 @@ def test_root_search_makes_few_kernel_calls(monkeypatch):
     assert max(calls) <= 10 and sum(calls) / len(calls) <= 6.0, calls
 
 
+def test_phase_kernel_returns_the_range_solution():
+    # one record per phase solve, the same one solve_range returns
+    for params in (moon_params(eta=0.004), mercury_params(eta=0.001)):
+        for xi in (0.6, 2.0):
+            kernel = solver._fixed_point(xi, solver._Workspace(params, solver._MODES[params.q]))
+            reference = solve_range(xi, params)
+            assert isinstance(kernel, solver.RangeSolution) and kernel.xi == xi
+            assert np.array_equal(kernel.u.coefficients, reference.u.coefficients)
+            assert kernel.increments == reference.increments
+            assert kernel.phi == reference.phi
+
+
+def test_solve_builds_the_green_multiplier_once(monkeypatch):
+    # the workspace holds it for every phase solve
+    build = solver._green_multiplier
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "_green_multiplier", counting_build)
+    solve_bifurcation(mercury_params(eta=0.001))
+    assert len(calls) == 1, calls
+
+
 def test_root_search_safeguard_bounds_regula_falsi():
     # plain Anderson-Bjorck creeps on this curve (tens of thousands of
     # steps); the halving fallback needs a dozen
@@ -561,7 +587,7 @@ def test_root_search_safeguard_bounds_regula_falsi():
         evaluations.append(x)
         return math.exp(-30.0 * x) - 1e-6
 
-    root = solver._bracketed_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-14)
+    root = solver._bracketed_root(f, 0.0, 1.0, 1e-14)
     assert 0.0 < root < 1.0 and abs(f(root)) <= 1e-14
     assert len(evaluations) - 3 <= 20
     assert all(0.0 < x < 1.0 for x in evaluations[2:])
@@ -576,29 +602,36 @@ def test_root_search_returns_an_exact_zero_at_a_midpoint():
         evaluations.append(x)
         return 1.0 if x < 0.5 else 0.0 if x == 0.5 else -1e-20
 
-    assert solver._bracketed_root(f, 0.0, 1.0, 1.0, -1e-20, 0.0) == 0.5
-    assert evaluations == [0.5]
-    assert solver._bracketed_root(lambda x: 1.0 - 2.0 * x, 0.0, 1.0, 1.0, -1.0, 0.0) == 0.5
+    assert solver._bracketed_root(f, 0.0, 1.0, 0.0) == 0.5
+    assert evaluations == [0.0, 1.0, 0.5]
+    assert solver._bracketed_root(lambda x: 1.0 - 2.0 * x, 0.0, 1.0, 0.0) == 0.5
 
 
-def test_root_search_takes_an_endpoint_within_tolerance_without_calling_f():
+def endpoint_values(lo, f_lo, hi, f_hi):
+    """f with the given values at lo and hi that fails on any other call."""
     def f(x):
+        if x == lo:
+            return f_lo
+        if x == hi:
+            return f_hi
         raise AssertionError(f"f called at {x}")
 
-    assert solver._bracketed_root(f, 0.25, 2.0, 0.0, -1.0, 1e-10) == 0.25
-    assert solver._bracketed_root(f, 0.25, 2.0, 1.0, -1e-11, 1e-10) == 2.0
-    assert solver._bracketed_root(f, 0.25, 2.0, 1e-10, 1e-10, 1e-10) == 0.25
+    return f
+
+
+def test_root_search_takes_an_endpoint_within_tolerance_with_no_further_call():
+    # no call after the two endpoint calls, and lo is taken first
+    for f_lo, f_hi, root in ((0.0, -1.0, 0.25), (1.0, -1e-11, 2.0), (1e-10, 1e-10, 0.25)):
+        f = endpoint_values(0.25, f_lo, 2.0, f_hi)
+        assert solver._bracketed_root(f, 0.25, 2.0, 1e-10) == root
 
 
 def test_root_search_refuses_a_bracket_without_a_sign_change():
-    def f(x):
-        raise AssertionError(f"f called at {x}")
-
     with pytest.raises(SolverError, match=r"^no sign change on the seeded bracket") as info:
-        solver._bracketed_root(f, 0.25, 2.0, -1.0, 1.0, 1e-10)
+        solver._bracketed_root(endpoint_values(0.25, -1.0, 2.0, 1.0), 0.25, 2.0, 1e-10)
     assert "(-1.000e+00, 1.000e+00) at (0.25, 2)" in str(info.value)
     with pytest.raises(SolverError, match="no sign change"):
-        solver._bracketed_root(f, 0.25, 2.0, 1.0, 0.5, 1e-10)
+        solver._bracketed_root(endpoint_values(0.25, 1.0, 2.0, 0.5), 0.25, 2.0, 1e-10)
 
 
 def test_root_search_stagnation_names_the_width(monkeypatch):
@@ -607,7 +640,7 @@ def test_root_search_stagnation_names_the_width(monkeypatch):
         solve_bifurcation(moon_params(eta=0.004))
 
 
-def test_batched_scan_refuses_unresolved_spectrum(monkeypatch):
+def test_solve_refuses_unresolved_spectrum(monkeypatch):
     monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
     with pytest.raises(SolverError, match="unresolved collocation spectrum"):
         solve_bifurcation(mercury_params(), N=2)
