@@ -28,9 +28,7 @@ from .certification import (
     CertificationReport,
     Conditions,
     certify,
-    certify_catalog,
     conditions,
-    green_eta_cap,
 )
 
 __version__ = "0.1.0"

@@ -36,11 +36,9 @@ from .series import alpha_lower_bound
 
 __all__ = [
     "GREEN_ETA_HAT_MAX",
-    "green_eta_cap",
     "Conditions",
     "conditions",
     "certify",
-    "certify_catalog",
     "CertificationReport",
     "reports_to_csv",
     "reports_to_json",
@@ -53,11 +51,6 @@ __all__ = [
 # 2/pi - pi/5 = (pi/5)(10/pi^2 - 1) = 0.00830124..., rounded down to the
 # largest double below it (the float expression rounds up, by 14 ulps).
 GREEN_ETA_HAT_MAX = 0.008301241649622695
-
-
-def green_eta_cap(q: int) -> float:
-    """Ceiling on eta itself from the Green-norm condition: eta_hat_max / q."""
-    return GREEN_ETA_HAT_MAX / q
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ def certify(body: Body) -> CertificationReport:
     c = conditions(ResonanceParams.from_body(body))
     q = body.q
     bif = c.eta_hat_bif / q
-    green = green_eta_cap(q)
+    green = GREEN_ETA_HAT_MAX / q
     return CertificationReport(
         body_name=body.name,
         alpha_lower=c.alpha_lower,
@@ -186,11 +179,6 @@ def certify(body: Body) -> CertificationReport:
         eta_admissible=min(bif, green),
         certified=not c.failed,
     )
-
-
-def certify_catalog(bodies) -> list:
-    """Certify every body, preserving input order."""
-    return [certify(b) for b in bodies]
 
 
 def _cell(value):
@@ -215,19 +203,10 @@ def reports_to_json(reports) -> str:
 def reports_to_markdown(reports) -> str:
     """Markdown table with the summary-column order, for visual diffing."""
     head = "| body | lower bound on the resonant coefficient | range margin | non-empty margin | eta ceiling (bifurcation) | eta ceiling (Green) | eta admissible | certified |"
-    sep = "|" + "---|" * 8
+    sep = "|" + "---|" * len(REPORT_COLUMNS)
     lines = [head, sep]
     for r in reports:
-        cells = [r.body_name] + [
-            f"{v:.6g}"
-            for v in (
-                r.alpha_lower,
-                r.range_margin,
-                r.nonempty_margin,
-                r.eta_bif_max,
-                r.eta_green_max,
-                r.eta_admissible,
-            )
-        ] + ["yes" if r.certified else "no"]
+        cells = ([r.body_name] + [f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]]
+                 + ["yes" if r.certified else "no"])
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

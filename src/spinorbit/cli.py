@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``certify`` -- evaluate the four resonance-existence conditions for every
   body of a catalog and emit one report row per body (csv/json/md).
-  Exit 0 when all selected bodies certify, 1 otherwise, 2 on input errors
-  or when no body is selected.
+  Exit 0 when all selected bodies certify, 1 otherwise or when a body lies
+  outside the certified disk of its series (refused by name, no report), 2
+  on input errors or when no body is selected.
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks);
@@ -85,7 +86,12 @@ def cmd_certify(args) -> int:
             return _fail(f"unknown body {unknown[0]!r}; no bodies selected", 2)
         wanted = {n.lower() for n in args.body}
         bodies = [b for b in bodies if b.name.lower() in wanted]
-    reports = cert.certify_catalog(bodies)
+    reports = []
+    for body in bodies:
+        try:
+            reports.append(cert.certify(body))
+        except ValueError as exc:  # outside the certified disk of its series
+            return _fail(f"{body.name}: {exc}", 1)
     renderer = {
         "csv": cert.reports_to_csv,
         "json": cert.reports_to_json,

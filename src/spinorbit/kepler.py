@@ -45,13 +45,16 @@ def eccentric_anomaly(e, t):
         u with the same shape as t.
 
     Raises:
-        ValueError: e out of the admissible range.
+        ValueError: e out of the admissible range, or a non-finite t.
         KeplerError: no convergence within the iteration cap.
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"real eccentricity must satisfy 0 <= e < 1, got {e}")
     e = float(e)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    finite = np.isfinite(ts)
+    if not finite.all():
+        raise ValueError(f"mean anomaly t must be finite, got {ts[~finite][0]}")
     # Newton from u0 = t + e sin(t); quadratic once near the root.
     u = ts + e * np.sin(ts)
     for _ in range(_NEWTON_CAP):

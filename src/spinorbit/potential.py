@@ -95,31 +95,31 @@ FLOAT_SLACK = 1e-10
 # A doubled-node gap within this multiple of the round-off unit of the
 # trapezoid sum is rounding, not truncation.  Measured: 120-340 where the gap
 # has stopped shrinking (e = 0.9995 to 0.9999, any n_quad), >= 3e7 on
-# under-resolved grids.
+# under-resolved grids.  The gap cannot see the rounding its nested grids
+# share, so a floor above FLOAT_SLACK (e > 0.99603) is refused whatever the gap.
 _FLOOR_MULTIPLE = 1000.0
 
 
 def _doubling_checked(value, refined, e, j, terms):
     """``value`` (alpha_j(e) on the n_quad = len(terms) nodes), refused when
-    ``refined`` (on 2*n_quad nodes) differs from it by more than FLOAT_SLACK.
-
-    The refusal is ``at_floor`` when the gap is within _FLOOR_MULTIPLE of
-    2^-52 times the summed |terms| of the n_quad-node trapezoid average,
-    a floor that more nodes do not lower.
+    ``refined`` (on 2*n_quad nodes) differs from it by more than FLOAT_SLACK
+    and by more than the floor, _FLOOR_MULTIPLE times 2^-52 times the summed
+    |terms| of the n_quad-node trapezoid average; refused ``at_floor`` when
+    that floor, which more nodes do not lower, exceeds FLOAT_SLACK.
     """
     gap = abs(value - refined)
-    if gap > FLOAT_SLACK:
-        unit = 2.0**-52 * 0.5 * float(np.mean(np.abs(terms)))
-        if gap <= _FLOOR_MULTIPLE * unit:
-            raise QuadratureError(
-                f"alpha_{j}({e}): refinement moved by {gap:.3e} at n_quad={len(terms)}, "
-                f"{gap / unit:.0f} times the round-off unit of the sum: the "
-                f"gap has reached the round-off floor",
-                at_floor=True,
-            )
+    floor = _FLOOR_MULTIPLE * 2.0**-52 * 0.5 * float(np.abs(terms).sum() / len(terms))
+    if gap > FLOAT_SLACK and gap > floor:
         raise QuadratureError(
             f"alpha_{j}({e}): refinement moved by {gap:.3e}; "
             f"n_quad={len(terms)} too small"
+        )
+    if floor > FLOAT_SLACK:  # then also gap <= floor
+        raise QuadratureError(
+            f"alpha_{j}({e}): refinement moved by {gap:.3e} at n_quad={len(terms)}, "
+            f"but the sum's round-off floor {floor:.3e} exceeds the accuracy "
+            f"{FLOAT_SLACK:g}: the quadrature has reached the round-off floor",
+            at_floor=True,
         )
     return value
 
@@ -140,7 +140,8 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     Raises:
         QuadratureError: the n_quad and 2*n_quad evaluations differ by
             more than FLOAT_SLACK: increase n_quad, unless ``at_floor`` says
-            the gap is rounding (from about e = 0.9995 up).
+            the gap or the sum's round-off floor is above FLOAT_SLACK (from
+            about e = 0.99603 up, at any n_quad).
     """
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")

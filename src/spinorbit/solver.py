@@ -23,7 +23,7 @@ All operations are pure; a solve is deterministic for fixed inputs.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -203,12 +203,7 @@ class ResonantOrbit:
         s = 2.0 * np.pi * self.params.q * np.arange(n_samples) / n_samples
         coeffs = self.u.coefficients
         return {
-            "p": self.params.p,
-            "q": self.params.q,
-            "e": self.params.e,
-            "eps": self.params.eps,
-            "eta": self.params.eta,
-            "nu": self.params.nu,
+            **{f.name: getattr(self.params, f.name) for f in fields(self.params)},
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
             "u_coefficients": [[c.real, c.imag] for c in coeffs],

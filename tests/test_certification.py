@@ -14,9 +14,7 @@ from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import (
     GREEN_ETA_HAT_MAX,
     certify,
-    certify_catalog,
     conditions,
-    green_eta_cap,
     reports_to_csv,
     reports_to_json,
     reports_to_markdown,
@@ -47,9 +45,11 @@ def test_green_norm_bound_domain():
         green_norm_bound(2.0 / math.pi)
 
 
-def test_green_eta_caps_printed_digits():
-    assert 0.0083 <= green_eta_cap(1) < 0.0084
-    assert 0.0041 <= green_eta_cap(2) < 0.0042
+def test_green_eta_ceilings_printed_digits():
+    (moon,) = [b for b in bundled_catalog("moons") if b.name == "Moon"]
+    (merc,) = bundled_catalog("mercury")
+    assert 0.0083 <= certify(moon).eta_green_max < 0.0084
+    assert 0.0041 <= certify(merc).eta_green_max < 0.0042
 
 
 def test_green_ceiling_is_the_largest_double_below_its_exact_value():
@@ -171,7 +171,7 @@ def test_mercury_eta_admissible_never_above_frozen():
 
 
 def test_report_invariants():
-    for rep in certify_catalog(bundled_catalog("all") + bundled_catalog("minor")):
+    for rep in map(certify, bundled_catalog("all") + bundled_catalog("minor")):
         assert rep.eta_admissible <= rep.eta_green_max
         expected_flag = (
             rep.alpha_lower > 0.0
@@ -212,7 +212,7 @@ def test_green_bound_consistency_with_numerical_solves():
 
 
 def test_report_serializers():
-    reports = certify_catalog(bundled_catalog("minor"))
+    reports = [certify(b) for b in bundled_catalog("minor")]
     csv_text = reports_to_csv(reports)
     assert csv_text.splitlines()[0].startswith("body_name,")
     assert len(csv_text.splitlines()) == 6

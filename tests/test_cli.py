@@ -381,6 +381,22 @@ def test_orbit_outside_certified_disk_refused(capsys, tmp_path):
     assert "outside the Cauchy-estimate disk" in err
 
 
+def test_certify_outside_certified_disk_refused_by_name(tmp_path):
+    # e = 0.5 lies outside the 1:1 disk e < 0.4172: refused, not a traceback
+    row = tmp_path / "row.csv"
+    row.write_text("name,primary,a_km,b_km,c_km,e,p,q\n"
+                   "Moon,Earth,1738.10,1737.70,1736.00,0.0549,1,1\n"
+                   "X,Y,100,99.9,99.9,0.5,1,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinorbit.cli", "certify", "--catalog", str(row)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: X: e=0.5 outside the Cauchy-estimate disk")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("certify", "--catalog", "mercury"),
     ("fourier", "0.1"),

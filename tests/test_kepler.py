@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import CRITICAL_ECC, complex_anomalies, complex_eccentric_anomaly
+from spinorbit import kepler
 from spinorbit.kepler import (
     KeplerError,
     anomalies,
@@ -94,11 +95,27 @@ def test_rejects_complex_eccentricity_outside_domain():
 
 
 def test_high_eccentricity_still_converges():
-    # Newton may stagnate near perihelion at extreme e; the bisection
-    # fallback must still deliver the residual tolerance.
     for t in (1e-3, 0.1, 2.0, 6.0):
         u = eccentric_anomaly(0.999, t)
         assert abs(u - 0.999 * math.sin(u) - t) <= 1e-13
+
+
+def test_bisection_fallback_meets_the_tolerance(monkeypatch):
+    # Newton stagnates near perihelion at extreme e; the elements it leaves
+    # go to the bisection fallback, which must still deliver the tolerance
+    bisect_kepler, calls = kepler._bisect_kepler, []
+    monkeypatch.setattr(kepler, "_bisect_kepler",
+                        lambda e, t: calls.append(t) or bisect_kepler(e, t))
+    t = np.linspace(0.0, 0.05, 2001)
+    u = eccentric_anomaly(0.999, t)
+    assert calls
+    assert np.max(np.abs(u - 0.999 * np.sin(u) - t)) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, 1.0, -math.inf])])
+def test_rejects_non_finite_mean_anomaly(t):
+    with pytest.raises(ValueError, match="mean anomaly t must be finite"):
+        eccentric_anomaly(0.3, t)
 
 
 def test_anomalies_circular_orbit():

@@ -127,6 +127,32 @@ def test_fourier_doubling_check_tells_round_off_from_truncation(e, j, n_quad, at
     assert info.value.at_floor is at_floor
 
 
+# alpha_1(e) frozen from mpmath at dps 30: the 16384-node trapezoid of the
+# same integrand, unchanged in 20 digits at 32768 nodes
+ALPHA_1_FROZEN = {
+    0.99: 0.24802901458810153467,
+    0.996: 0.25501534632227637422,
+    0.999: 0.26147047520224677113,
+    0.9995: 0.26345441125137661743,
+}
+
+
+@pytest.mark.parametrize("n_quad", [2048, 4096, 8192, 16384, 65536])
+def test_fourier_answers_within_float_slack_or_refuses_at_floor(n_quad):
+    # the nested grids share each node's rounding, so the doubled-node gap
+    # cannot see it: at e = 0.9995 the 2048-node value is 5.8e-10 off while
+    # the gap reads 9.5e-11
+    answered = {}
+    for e in ALPHA_1_FROZEN:
+        try:
+            answered[e] = fourier_coefficient(e, 1, n_quad)
+        except QuadratureError as exc:
+            assert exc.at_floor, (e, n_quad)
+    assert 0.99 in answered and 0.9995 not in answered
+    for e, value in answered.items():
+        assert abs(value - ALPHA_1_FROZEN[e]) <= potential.FLOAT_SLACK, (e, n_quad)
+
+
 def test_exponential_doubling_check_flags_coarse_grids():
     # at e = 0.99 the mean-anomaly grid of 8192 nodes returns -3.70 for
     # alpha_1 = 0.2480; the doubled grid moves it by ~3.9
