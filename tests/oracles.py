@@ -1,5 +1,6 @@
 """Test references the package does not ship: the Kepler solve at complex e,
-alpha_j on the mean-anomaly grid, the trapezoid on one grid of n nodes, the
+alpha_j on the mean-anomaly grid, the eccentric-anomaly integrand rebuilt
+in one expression per call and its trapezoid on one grid of n nodes, the
 truncated series in ``Fraction`` arithmetic, V_xx and the sup bounds on V_x
 and V_xx, the right-hand side of the spin equation at one state, the RK4
 loop on numpy scalars, the Green operator and its norm bound,
@@ -7,7 +8,8 @@ PeriodicFunction arithmetic and its evaluation through an exponential
 matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
-exercising package code.  Pytest does not collect this module."""
+exercising package code; the integrand does not, so that it checks the
+package's cached one.  Pytest does not collect this module."""
 
 import cmath
 import math
@@ -19,8 +21,7 @@ import numpy as np
 from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
-from spinorbit.potential import (_alpha_integrand, _doubling_checked, _quadrature_nodes,
-                                 potential_fx)
+from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
 from spinorbit.series import _SERIES, CANONICAL_ORDER
 from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
 
@@ -168,11 +169,36 @@ def _kernel_from_u(e, u):
     return -(z**4) / (2.0 * rho**3 * (a * a + b * b) ** 2)
 
 
+def alpha_integrand_reference(e, j, n_quad):
+    """The eccentric-anomaly integrand of ``fourier_coefficient`` on n_quad
+    nodes, rebuilt whole at each call in the package's order of operations:
+    the package's cached factors must give it bit for bit."""
+    u = _quadrature_nodes(n_quad)
+    s = math.sqrt((1.0 + e) / (1.0 - e))
+    a = s * np.sin(0.5 * u)
+    b = np.cos(0.5 * u)
+    a2, b2 = a * a, b * b
+    p = a2 * a2 - 6.0 * a2 * b2 + b2 * b2
+    q = 4.0 * a * b * (a2 - b2)
+    rho = 1.0 - e * np.cos(u)
+    phase = j * (u - e * np.sin(u))
+    return (p * np.cos(phase) - q * np.sin(phase)) / (rho**2 * (a2 + b2) ** 2)
+
+
 def alpha_trapezoid_reference(e, j, n_quad):
     """The n_quad-node trapezoid as ``fourier_coefficient`` took it before it
     evaluated one nested grid of 2*n_quad nodes: its own grid, and fsum over
     numpy scalars."""
-    return -0.5 * math.fsum(_alpha_integrand(e, j, n_quad)) / n_quad
+    return -0.5 * math.fsum(alpha_integrand_reference(e, j, n_quad)) / n_quad
+
+
+def fourier_coefficient_reference(e, j, n_quad):
+    """``fourier_coefficient`` on the reference integrand: the n_quad- and
+    2*n_quad-node trapezoids on their own grids, through the package's
+    doubled-node check."""
+    return _doubling_checked(alpha_trapezoid_reference(e, j, n_quad),
+                             alpha_trapezoid_reference(e, j, 2 * n_quad), e, j,
+                             alpha_integrand_reference(e, j, n_quad))
 
 
 def alpha_series_reference(j: int, e: float) -> float:
@@ -208,7 +234,7 @@ def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> com
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
     return _doubling_checked(_alpha_exponential(e, j, n_quad),
                              _alpha_exponential(e, j, 2 * n_quad), e, j,
-                             _alpha_integrand(e, j, n_quad))
+                             alpha_integrand_reference(e, j, n_quad))
 
 
 # ------------------------------------------------ periodic functions

@@ -7,6 +7,7 @@ regression constants are frozen with the generating expressions quoted.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (alpha_series_reference, alpha_trapezoid_reference,
-                     fourier_coefficient_exponential, fxx_sup_bound, potential_fxx,
-                     tidal_kernel)
+                     fourier_coefficient_exponential, fourier_coefficient_reference,
+                     fxx_sup_bound, potential_fxx, tidal_kernel)
 from spinorbit import potential
 from spinorbit.catalog import bundled_catalog
 from spinorbit.potential import QuadratureError, fourier_coefficient, potential_fx
@@ -92,6 +93,51 @@ def test_fourier_rejects_bad_inputs():
         fourier_coefficient(0.1, 2, n_quad=63)
     with pytest.raises(ValueError):
         fourier_coefficient(1.0, 2)
+
+
+@pytest.mark.parametrize("j", [2.5, 2.0, np.float64(-1.5), math.nan])
+def test_fourier_refuses_non_integer_harmonic_by_name(j):
+    # not a QuadratureError, whose "n_quad too small" asks for nodes that cannot help
+    with pytest.raises(ValueError, match=r"harmonic j must be an integer, got j="):
+        fourier_coefficient(0.1, j)
+
+
+def test_fourier_accepts_a_numpy_integer_harmonic():
+    assert fourier_coefficient(0.1, np.int64(2)) == fourier_coefficient(0.1, 2)
+
+
+def test_geometry_cache_is_keyed_on_the_float_value_of_e():
+    # a 0-d array is not hashable: the cache must not see it
+    potential._geometry.cache_clear()
+    expected = -0.4875405641920221  # alpha_2(0.1) of the uncached quadrature
+    for e in (np.asarray(0.1), np.float64(0.1), 0.1, np.asarray(0.1)):
+        assert fourier_coefficient(e, 2).hex() == expected.hex(), type(e)
+    assert potential._geometry.cache_info().misses == 1
+    assert not any(f.flags.writeable for f in potential._geometry(0.1, 4096))
+
+
+def test_cached_quadrature_matches_reference_in_any_call_order():
+    # shuffled so that the one cache entry is hit, missed and evicted; every
+    # value, refusal message and at_floor flag must equal the reference's
+    calls = [(float(e), j, n_quad)
+             for e in (0.0, 0.0549, 0.2056, 0.45, 0.9, 0.95, 0.99)
+             for j in [*range(-8, 0), *range(1, 9)]
+             for n_quad in (64, 2048)]
+    random.Random(19).shuffle(calls)
+    potential._geometry.cache_clear()
+    refusals = 0
+    for e, j, n_quad in calls:
+        try:
+            expected = fourier_coefficient_reference(e, j, n_quad)
+        except QuadratureError as exc:
+            refusals += 1
+            with pytest.raises(QuadratureError) as info:
+                fourier_coefficient(e, j, n_quad)
+            assert (str(info.value), info.value.at_floor) == (str(exc), exc.at_floor)
+        else:
+            assert fourier_coefficient(e, j, n_quad) == expected, (e, j, n_quad)
+    info = potential._geometry.cache_info()
+    assert info.hits > 0 and info.misses > 14 and refusals > 0, (info, refusals)
 
 
 @pytest.mark.parametrize("n_quad", [64, 2048, 4096])
