@@ -120,8 +120,9 @@ class Body:
     rigidity: Optional[float] = None
 
     def __post_init__(self):
-        if not self.name:
-            raise CatalogError("body name must be non-empty")
+        # a line break or other control character would split a report row
+        if not (isinstance(self.name, str) and self.name and self.name.isprintable()):
+            raise CatalogError(f"body name {self.name!r} must be a non-empty printable string")
         for field in ("a_km", "b_km", "c_km", "e", "rigidity"):
             value = getattr(self, field)
             if value is not None and not math.isfinite(value):

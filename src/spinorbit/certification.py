@@ -206,7 +206,8 @@ def reports_to_markdown(reports) -> str:
     sep = "|" + "---|" * len(REPORT_COLUMNS)
     lines = [head, sep]
     for r in reports:
-        cells = ([r.body_name] + [f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]]
+        cells = ([r.body_name.replace("|", "\\|")]
+                 + [f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]]
                  + ["yes" if r.certified else "no"])
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

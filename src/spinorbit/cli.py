@@ -10,9 +10,9 @@ Three subcommands:
 * ``fourier`` -- tabulate the potential's Fourier coefficients alpha_j at a
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks);
-  ``within_bound`` allows the quadrature's own FLOAT_SLACK.  Exit 1 when
-  --nquad nodes do not resolve a coefficient, or when the doubled-node gap
-  sits at the quadrature's round-off floor.
+  ``within_bound`` allows the quadrature's own FLOAT_SLACK.  Exit 2 on an e
+  or --nquad that ``fourier_coefficient`` refuses, 1 when --nquad nodes do
+  not resolve a coefficient or the doubled-node gap is at its round-off floor.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, check its equation residual, and emit it
   as JSON, always (it takes no --format).  Exit 1 when a condition fails
@@ -22,8 +22,10 @@ Each subcommand declares only the flags its handler reads, and its handler
 receives the parsed namespace.  ``certify`` and ``orbit`` read a catalog:
 the bundled one ('all' = 18 moons + Mercury) by default, or a file path or
 one of moons/mercury/minor/all given with --catalog or through the
-RESONANCE_CATALOG environment variable.  All three write to --out when it
-is given; an --out that cannot be written exits 2.
+RESONANCE_CATALOG environment variable, and name bodies case-insensitively
+through one lookup: an empty catalog or an unknown name exits 2 with the
+same message from both.  All three write to --out when it is given; an
+--out that cannot be written exits 2.
 
 ``certify`` never imports numpy: ``fourier`` and ``orbit`` import the numpy
 modules they use inside their handlers.
@@ -46,11 +48,20 @@ _FORMATS = ("csv", "json", "md")
 _ORBIT_TOLERANCE = 1e-9
 
 
-def _resolve_catalog(selector: Optional[str]):
-    name = selector or os.environ.get("RESONANCE_CATALOG") or "all"
-    if name in cat.BUNDLED_NAMES:
-        return cat.bundled_catalog(name)
-    return cat.load_catalog(Path(name))
+def _bodies(selector: Optional[str], names=None) -> list:
+    """The bodies of the catalog (``selector``, $RESONANCE_CATALOG or 'all'),
+    or those in ``names``, case-insensitive, in catalog order."""
+    selector = selector or os.environ.get("RESONANCE_CATALOG") or "all"
+    bodies = (cat.bundled_catalog(selector) if selector in cat.BUNDLED_NAMES
+              else cat.load_catalog(Path(selector)))
+    if not bodies:
+        raise ValueError("the catalog is empty; no bodies selected")
+    known = {b.name.lower() for b in bodies}
+    for name in names or ():
+        if name.lower() not in known:
+            raise ValueError(f"unknown body {name!r}; no bodies selected")
+    wanted = {name.lower() for name in names} if names else known
+    return [b for b in bodies if b.name.lower() in wanted]
 
 
 def _fail(message: str, code: int) -> int:
@@ -74,18 +85,9 @@ def _emit(text: str, out: Optional[str], code: int = 0) -> int:
 
 def cmd_certify(args) -> int:
     try:
-        bodies = _resolve_catalog(args.catalog)
-    except (cat.CatalogError, OSError, ValueError) as exc:
+        bodies = _bodies(args.catalog, args.body)
+    except (OSError, ValueError) as exc:  # CatalogError is a ValueError
         return _fail(str(exc), 2)
-    if not bodies:
-        return _fail("the catalog is empty; no bodies selected", 2)
-    if args.body:
-        known = {b.name.lower() for b in bodies}
-        unknown = [n for n in args.body if n.lower() not in known]
-        if unknown:
-            return _fail(f"unknown body {unknown[0]!r}; no bodies selected", 2)
-        wanted = {n.lower() for n in args.body}
-        bodies = [b for b in bodies if b.name.lower() in wanted]
     reports = []
     for body in bodies:
         try:
@@ -122,7 +124,7 @@ def _fourier_rows(e: float, j_max: int, n_quad: int):
 
 
 def _render_fourier(rows, fmt: str) -> str:
-    cols = ("j", "alpha_quadrature", "alpha_series", "remainder_bound", "within_bound")
+    cols = tuple(rows[0])
     if fmt == "json":
         rows = [{c: cert.json_value(v) for c, v in r.items()} for r in rows]
         return json.dumps(rows, indent=1) + "\n"
@@ -145,14 +147,12 @@ def _render_fourier(rows, fmt: str) -> str:
 
 def cmd_fourier(args) -> int:
     from .potential import QuadratureError
-    if args.nquad < 64 or args.nquad % 2:
-        return _fail("--nquad must be even and >= 64", 2)
-    if not 0.0 <= args.e < 1.0:
-        return _fail(f"eccentricity must satisfy 0 <= e < 1, got {args.e}", 2)
     if args.jmax < 1:
         return _fail(f"--jmax must be >= 1, got {args.jmax}", 2)
     try:
         rows = _fourier_rows(args.e, args.jmax, args.nquad)
+    except ValueError as exc:  # e or n_quad refused by fourier_coefficient
+        return _fail(str(exc), 2)
     except QuadratureError as exc:
         hint = "raising --nquad will not lower it" if exc.at_floor else "raise --nquad"
         return _fail(f"{exc}; {hint}", 1)
@@ -163,16 +163,12 @@ def cmd_orbit(args) -> int:
     from . import dynamics, solver
     if not (math.isfinite(args.eta) and args.eta >= 0):
         return _fail("--eta must be finite and >= 0", 2)
-    if args.samples < 2:
-        return _fail("--samples must be >= 2", 2)
+    if not 2 <= args.samples <= 2**20:
+        return _fail(f"--samples must be >= 2 and <= 2**20, got {args.samples}", 2)
     try:
-        bodies = _resolve_catalog(args.catalog)
-    except (cat.CatalogError, OSError, ValueError) as exc:
+        body, = _bodies(args.catalog, [args.body])
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
-    matches = [b for b in bodies if b.name.lower() == args.body.lower()]
-    if not matches:
-        return _fail(f"unknown body {args.body!r}", 2)
-    body = matches[0]
 
     params = cat.ResonanceParams.from_body(body, eta=args.eta)
     try:
@@ -223,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_four.add_argument("--jmax", type=int, default=4,
                         help="largest harmonic to tabulate (default 4)")
     p_four.add_argument("--nquad", type=int, default=2048,
-                        help="quadrature nodes (even, >= 64; default 2048)")
+                        help="quadrature nodes (even, 64 to 2**20; default 2048)")
 
     p_orb = sub.add_parser("orbit", help="construct a resonant orbit (JSON)")
     p_orb.set_defaults(handler=cmd_orbit)
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--eta", type=float, default=0.0,
                        help="dissipation parameter (default 0)")
     p_orb.add_argument("--samples", type=int, default=256,
-                       help="number of exported x(t) samples (default 256)")
+                       help="exported x(t) samples (2 to 2**20; default 256)")
 
     for p in (p_cert, p_four, p_orb):
         p.add_argument("--out", default=None, help="write output to a file")

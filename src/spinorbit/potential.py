@@ -17,11 +17,12 @@ quadrature of a real integrand in the eccentric anomaly
 check.  Only cos(j m) and sin(j m), m = u - e sin u, depend on the harmonic
 j: the j-independent factors of the integrand are built once per
 (e, n_quad) and kept in one cache entry, four read-only arrays on the
-2*n_quad nodes (128 KiB at the default 2048 nodes, 4 MiB at 65536), which
-the next harmonic at the same (e, n_quad) reuses.  The certified series
-route to alpha_2 and alpha_3, with its Cauchy remainder bound, is the
-numpy-free ``series`` module.  A second quadrature
-route, on the mean-anomaly grid, is a test reference in tests/oracles.py.
+2*n_quad nodes (128 KiB at the default 2048 nodes, 64 MiB at the largest
+n_quad accepted, 2**20), which the next harmonic at the same (e, n_quad)
+reuses.  The certified series route to alpha_2 and alpha_3, with its
+Cauchy remainder bound, is the numpy-free ``series`` module.  A second
+quadrature route, on the mean-anomaly grid, is a test reference in
+tests/oracles.py.
 """
 
 import functools
@@ -152,7 +153,7 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     Args:
         e: real eccentricity in [0, 1).
         j: nonzero integer harmonic (the expansion has no j = 0 term).
-        n_quad: number of quadrature nodes, even, >= 64.
+        n_quad: number of quadrature nodes, even, from 64 to 2**20.
 
     Raises:
         QuadratureError: the n_quad and 2*n_quad evaluations differ by
@@ -166,8 +167,8 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
-    if n_quad < 64 or n_quad % 2:
-        raise ValueError(f"n_quad must be even and >= 64, got {n_quad}")
+    if not 64 <= n_quad <= 2**20 or n_quad % 2:
+        raise ValueError(f"n_quad must be even, >= 64 and <= 2**20, got {n_quad}")
     terms = _alpha_integrand(e, j, 2 * n_quad)
     # periodic trapezoid = plain node average; fsum rounds each sum once, so
     # neither depends on the order of its terms

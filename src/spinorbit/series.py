@@ -135,8 +135,7 @@ def alpha_lower_bound(j: int, e: float) -> float:
     """Certified lower bound on |alpha_j(e)|: |series| minus remainder bound.
 
     May be non-positive, in which case no certificate is available at this
-    eccentricity.  Raises ValueError outside the canonical disk of j.
+    eccentricity.  Raises ValueError for j outside (2, 3) or e outside the
+    canonical disk of j.
     """
-    if j not in _SERIES:
-        raise ValueError(f"certified bounds available only for j in (2, 3), got {j}")
     return abs(alpha_series(j, e)) - remainder_bound(e, CANONICAL_ORDER[j], CANONICAL_B[j])

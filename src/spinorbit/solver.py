@@ -105,10 +105,10 @@ class PeriodicFunction:
 
 
 def _synthesize(coefficients, n: int):
-    """Values at n uniform nodes of modes 0..N (mode 0 ignored)."""
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1 : len(coefficients)] = coefficients[1:] * n
-    return np.fft.irfft(spectrum, n)
+    """Values at n uniform nodes of modes 0..N <= n//2 (irfft pads with zeros);
+    mode 0 is exactly 0 at both callers, by PeriodicFunction's invariant and
+    ``_project``'s zeroed mean."""
+    return np.fft.irfft(coefficients * n, n)
 
 
 def _green_multiplier(order: int, eta_hat: float):

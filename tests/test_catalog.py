@@ -228,6 +228,16 @@ def test_json_rejects_numbers_written_as_strings(field, value):
         load_catalog(json.dumps([record]))
 
 
+@pytest.mark.parametrize("name", ["A\nB", "A\rB", "A\tB", "\x1b[1m"])
+def test_body_name_must_be_printable(name):
+    # a control character would split or garble a report row
+    with pytest.raises(CatalogError) as info:
+        load_catalog(json.dumps([dict(_JSON_RECORD, name=name)]))
+    assert str(info.value) == f"record 0: body name {name!r} must be a non-empty printable string"
+    (body,) = load_catalog(json.dumps([dict(_JSON_RECORD, name="A|B é")]))
+    assert body.name == "A|B é"
+
+
 def test_json_accepts_empty_k():
     (body,) = load_catalog(json.dumps([dict(_JSON_RECORD, K="")]))
     assert body.rigidity is None

@@ -223,6 +223,14 @@ def test_report_serializers():
     assert "| Janus |" in md
 
 
+def test_markdown_escapes_a_pipe_in_a_body_name():
+    body = Body("A|B", "Earth", 1738.1, 1737.7, 1736.0, 0.0549, 1, 1)
+    head, _, row = reports_to_markdown([certify(body)]).splitlines()
+    assert row.startswith("| A\\|B | ")
+    # the row has as many cells as the header
+    assert row.replace("\\|", "").count("|") == head.count("|")
+
+
 def test_inf_sentinel_serializes():
     from spinorbit.certification import CertificationReport
 

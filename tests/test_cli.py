@@ -319,6 +319,47 @@ def test_orbit_unknown_body_exit_two(capsys):
     assert "unknown body" in err
 
 
+@pytest.mark.parametrize("command", ["certify --body", "orbit"])
+def test_certify_and_orbit_share_one_body_lookup(capsys, tmp_path, command):
+    # orbit used to say "unknown body 'X'" for an empty catalog too
+    argv = command.split()
+    code, out, _ = run_cli(capsys, *argv, "mOON", "--out", str(tmp_path / "out"))
+    assert (code, out) == (0, "")
+    assert "Moon" in (tmp_path / "out").read_text()
+    (tmp_path / "empty.json").write_text("[]")
+    for extra, message in [
+        ((), "error: unknown body 'Vulcan'; no bodies selected\n"),
+        (("--catalog", str(tmp_path / "empty.json")),
+         "error: the catalog is empty; no bodies selected\n"),
+    ]:
+        assert run_cli(capsys, *argv, "Vulcan", *extra) == (2, "", message)
+
+
+def test_orbit_exports_the_requested_samples(capsys):
+    code, out, _ = run_cli(capsys, "orbit", "Moon", "--samples", "32")
+    assert code == 0
+    payload = json.loads(out)
+    assert (len(payload["t"]), len(payload["x"])) == (32, 32)
+
+
+@pytest.mark.parametrize("samples", ["1", "1048577"])
+def test_orbit_refuses_samples_outside_2_to_2_pow_20(capsys, tmp_path, samples):
+    # 2**20 + 1 used to be computed; far larger asks ran out of memory
+    out_file = tmp_path / "orbit.json"
+    code, out, err = run_cli(capsys, "orbit", "Moon", "--samples", samples,
+                             "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples must be >= 2 and <= 2**20, got {samples}\n"
+    assert not out_file.exists()
+
+
+def test_fourier_refuses_nquad_in_the_quadrature_s_own_words(capsys):
+    for nquad in ("63", "2097152"):
+        code, out, err = run_cli(capsys, "fourier", "0.2", "--nquad", nquad)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_quad must be even, >= 64 and <= 2**20, got {nquad}\n"
+
+
 def test_orbit_writes_file(capsys, tmp_path):
     out_file = tmp_path / "orbit.json"
     code, out, _ = run_cli(capsys, "orbit", "Moon", "--out", str(out_file))

@@ -95,6 +95,12 @@ def test_fourier_rejects_bad_inputs():
         fourier_coefficient(1.0, 2)
 
 
+def test_fourier_refuses_more_than_2_pow_20_nodes():
+    # a larger n_quad used to run until numpy ran out of memory
+    with pytest.raises(ValueError, match=r"^n_quad must be even, >= 64 and <= 2\*\*20, got 1048578$"):
+        fourier_coefficient(0.2, 1, n_quad=2**20 + 2)
+
+
 @pytest.mark.parametrize("j", [2.5, 2.0, np.float64(-1.5), math.nan])
 def test_fourier_refuses_non_integer_harmonic_by_name(j):
     # not a QuadratureError, whose "n_quad too small" asks for nodes that cannot help
@@ -287,6 +293,8 @@ def test_alpha_lower_bound_values():
     assert alpha_lower_bound(2, 0.0549) > 0.0
     with pytest.raises(ValueError):
         alpha_lower_bound(2, 0.45)  # outside the canonical disk
+    with pytest.raises(ValueError, match=r"only for j in \(2, 3\), got 4"):
+        alpha_lower_bound(4, 0.1)  # refused by alpha_series
 
 
 def test_series_quadrature_remainder_triangle_quick():
