@@ -11,8 +11,8 @@ Three subcommands:
   given eccentricity by quadrature, alongside the certified series value
   and remainder bound where available (j = 2, 3 inside their disks);
   ``within_bound`` allows the quadrature's own FLOAT_SLACK.  Exit 2 on an e
-  or --nquad that ``fourier_coefficient`` refuses, 1 when --nquad nodes do
-  not resolve a coefficient or the doubled-node gap is at its round-off floor.
+  or --nquad that ``fourier_coefficient`` refuses, 1 when it refuses the
+  --jmax row, which it is asked for before any other.
 * ``orbit`` -- construct the resonant periodic orbit of a certified body
   at a chosen dissipation eta, check its equation residual, and emit it
   as JSON, always (it takes no --format).  Exit 1 when a condition fails
@@ -105,9 +105,10 @@ def cmd_certify(args) -> int:
 
 def _fourier_rows(e: float, j_max: int, n_quad: int):
     from . import potential
+    # top row first: both error bounds grow with |j|, so it is refused if any is
+    quads = [potential.fourier_coefficient(e, j, n_quad) for j in range(j_max, 0, -1)]
     rows = []
-    for j in range(1, j_max + 1):
-        quad = potential.fourier_coefficient(e, j, n_quad)
+    for j, quad in enumerate(reversed(quads), 1):
         row = {"j": j, "alpha_quadrature": quad, "alpha_series": None,
                "remainder_bound": None, "within_bound": None}
         if j in CANONICAL_B and e < canonical_disk(j):
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_four.add_argument("--jmax", type=int, default=4,
                         help="largest harmonic to tabulate (default 4)")
     p_four.add_argument("--nquad", type=int, default=2048,
-                        help="quadrature nodes (even, 64 to 2**20; default 2048)")
+                        help="most quadrature nodes (even, 64 to 2**20; default 2048)")
 
     p_orb = sub.add_parser("orbit", help="construct a resonant orbit (JSON)")
     p_orb.set_defaults(handler=cmd_orbit)

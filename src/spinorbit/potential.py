@@ -13,19 +13,13 @@ anomaly at mean anomaly t.  Expanded in time harmonics,
 and the alpha_j control which p:q resonances can be sustained.  This module
 evaluates V_x pointwise (``potential_fx``) and alpha_j by periodic-trapezoid
 quadrature of a real integrand in the eccentric anomaly
-(``fourier_coefficient``), accurate to FLOAT_SLACK by its doubled-node
-check.  Only cos(j m) and sin(j m), m = u - e sin u, depend on the harmonic
-j: the j-independent factors of the integrand are built once per
-(e, n_quad) and kept in one cache entry, four read-only arrays on the
-2*n_quad nodes (128 KiB at the default 2048 nodes, 64 MiB at the largest
-n_quad accepted, 2**20), which the next harmonic at the same (e, n_quad)
-reuses.  The certified series route to alpha_2 and alpha_3, with its
-Cauchy remainder bound, is the numpy-free ``series`` module.  A second
-quadrature route, on the mean-anomaly grid, is a test reference in
-tests/oracles.py.
+(``fourier_coefficient``) on the fewest nodes that a priori bounds on its
+truncation and rounding prove accurate to FLOAT_SLACK.  The certified series
+route to alpha_2 and alpha_3, with its Cauchy remainder bound, is the
+numpy-free ``series`` module.  A second quadrature route, on the
+mean-anomaly grid, is a test reference in tests/oracles.py.
 """
 
-import functools
 import math
 import numbers
 
@@ -43,13 +37,15 @@ __all__ = [
     "FLOAT_SLACK",
 ]
 
+# accuracy contract: a returned quadrature value is proven this close to alpha_j
+FLOAT_SLACK = 1e-10
+
 
 class QuadratureError(RuntimeError):
-    """Successive quadrature refinements disagree.
+    """No grid of at most n_quad nodes is proven accurate to FLOAT_SLACK.
 
-    ``at_floor`` is true when the disagreement is the rounding of the
-    quadrature sum itself, which more nodes do not lower; otherwise n_quad
-    is too small.
+    ``at_floor`` is true when the rounding bound alone exceeds FLOAT_SLACK,
+    which more nodes do not lower; otherwise n_quad is too small.
     """
 
     def __init__(self, message: str, at_floor: bool = False):
@@ -66,22 +62,16 @@ def potential_fx(e, x, t):
     return np.sin(2.0 * np.asarray(x) - 2.0 * f) / rho**3
 
 
-def _quadrature_nodes(n_quad):
-    return 2.0 * np.pi * np.arange(n_quad) / n_quad
-
-
-@functools.lru_cache(maxsize=1)
-def _geometry(e, n_nodes):
+def _alpha_integrand(e, j, n):
     # Integrate in the eccentric anomaly u (dt = rho du):
-    #   alpha_j = -(1/4pi) int_0^{2pi} [P c_j - Q s_j] / (rho^2 (A^2+B^2)^2) du
-    # where, with s = sqrt((1+e)/(1-e)), A = s sin(u/2), B = cos(u/2),
-    #   P - iQ = (A - iB)^4,
-    # c_j = cos(ju - je sin u), s_j = sin(ju - je sin u).  Writing the
+    #   alpha_j = -(1/4pi) int_{-pi}^{pi} [P c_j - Q s_j] / (rho^2 (A^2+B^2)^2) du
+    # where s = sqrt((1+e)/(1-e)), A = s sin(u/2), B = cos(u/2), P + iQ =
+    # (A + iB)^4 and c_j + i s_j = e^{ijm}, m = u - e sin u.  Writing the
     # rational function of w = A/B through A and B removes the w -> inf
-    # singularity at u = pi without changing the integrand.  This returns
-    # the factors that do not depend on j, (P, Q, u - e sin u,
-    # rho^2 (A^2+B^2)^2), read-only because every later call shares them.
-    u = _quadrature_nodes(n_nodes)
+    # singularity at u = pi; _rounding_bound is derived for this code.  The
+    # nodes span [-pi, pi), centred where the integrand is steepest: 2 pi/n
+    # is exact for n a power of two, so each is rounded once, relative to |u|.
+    u = 2.0 * np.pi / n * np.arange(-n // 2, n // 2)
     s = math.sqrt((1.0 + e) / (1.0 - e))
     a = s * np.sin(0.5 * u)
     b = np.cos(0.5 * u)
@@ -89,78 +79,79 @@ def _geometry(e, n_nodes):
     p = a2 * a2 - 6.0 * a2 * b2 + b2 * b2
     q = 4.0 * a * b * (a2 - b2)
     rho = 1.0 - e * np.cos(u)
-    factors = (p, q, u - e * np.sin(u), rho**2 * (a2 + b2) ** 2)
-    for factor in factors:
-        factor.flags.writeable = False
-    return factors
+    phase = j * (u - e * np.sin(u))
+    return (p * np.cos(phase) - q * np.sin(phase)) / (rho**2 * (a2 + b2) ** 2)
 
 
-def _alpha_integrand(e, j, n_nodes):
-    # the cache key is float(e): a 0-d array is not hashable
-    p, q, mean_anomaly, den = _geometry(float(e), n_nodes)
-    phase = j * mean_anomaly
-    return (p * np.cos(phase) - q * np.sin(phase)) / den
+_STRIP_FRACTIONS = np.r_[np.arange(1, 32) / 32.0, 1.0 - 2.0 ** (-np.arange(11, 41) / 2.0)]
 
 
-# Accuracy contract of the quadrature: the largest gap its doubled-node check
-# lets through, so a quadrature value may lie this far from alpha_j.
-FLOAT_SLACK = 1e-10
+def _log_truncation_bound(e, j, n):
+    """log T(e, j, n), where T bounds |alpha_j - the exact n-node trapezoid|.
 
-# A doubled-node gap within this multiple of the round-off unit of the
-# trapezoid sum is rounding, not truncation.  Measured: 120-340 where the gap
-# has stopped shrinking (e = 0.9995 to 0.9999, any n_quad), >= 3e7 on
-# under-resolved grids.  The gap cannot see the rounding its nested grids
-# share, so a floor above FLOAT_SLACK (e > 0.99603) is refused whatever the gap.
-_FLOOR_MULTIPLE = 1000.0
-
-
-def _doubling_checked(value, refined, e, j, terms):
-    """``value`` (alpha_j(e) on the n_quad = len(terms) nodes), refused when
-    ``refined`` (on 2*n_quad nodes) differs from it by more than FLOAT_SLACK
-    and by more than the floor, _FLOOR_MULTIPLE times 2^-52 times the summed
-    |terms| of the n_quad-node trapezoid average; refused ``at_floor`` when
-    that floor, which more nodes do not lower, exceeds FLOAT_SLACK.
+    The integrand, g = (1-e)^2 [(A+iB)^4 e^{ijm} + (A-iB)^4 e^{-ijm}] / (2 rho^4)
+    as (A^2+B^2)^2 = rho^2/(1-e)^2, is 2 pi-periodic and analytic on
+    |Im u| < arccosh(1/e), where rho first vanishes.  On |Im u| <= y,
+    |A +- iB| <= (s+1) cosh(y/2), |e^{+-ijm}| <= e^{|j|(y + e sinh y)},
+    |rho| >= 1 - e cosh y and (1-e)^2 (s+1)^4 = (sqrt(1+e) + sqrt(1-e))^4 <= 16,
+    so |g| <= M(y) = 16 cosh^4(y/2) e^{|j|(y + e sinh y)} / (1 - e cosh y)^4.
+    As alpha_j = -mean(g)/2, Thm. 3.2 of L. N. Trefethen and J. A. C.
+    Weideman, SIAM Review 56 (2014) 385, gives T <= M(y)/(e^{yn} - 1) for
+    each such y; this takes the least over y = arccosh(1/e) (at most 64)
+    times _STRIP_FRACTIONS: even steps, then geometric toward the pole.
     """
-    gap = abs(value - refined)
-    floor = _FLOOR_MULTIPLE * 2.0**-52 * 0.5 * float(np.abs(terms).sum() / len(terms))
-    if gap > FLOAT_SLACK and gap > floor:
-        raise QuadratureError(
-            f"alpha_{j}({e}): refinement moved by {gap:.3e}; "
-            f"n_quad={len(terms)} too small"
-        )
-    if floor > FLOAT_SLACK:  # then also gap <= floor
-        raise QuadratureError(
-            f"alpha_{j}({e}): refinement moved by {gap:.3e} at n_quad={len(terms)}, "
-            f"but the sum's round-off floor {floor:.3e} exceeds the accuracy "
-            f"{FLOAT_SLACK:g}: the quadrature has reached the round-off floor",
-            at_floor=True,
-        )
-    return value
+    y = _STRIP_FRACTIONS * (math.acosh(1.0 / e) if e * math.cosh(64.0) > 1.0 else 64.0)
+    ny = n * y
+    return float(np.min(math.log(16.0) + abs(j) * (y + e * np.sinh(y))
+                        + 4.0 * np.log(np.cosh(0.5 * y) / (1.0 - e * np.cosh(y)))
+                        - ny - np.log(-np.expm1(-ny))))
+
+
+def _rounding_bound(e, j):
+    """R(e, j) bounds the rounding of the computed sum on any n nodes with
+    T(e, j, n) <= FLOAT_SLACK.  It assumes numpy's float64 sin and cos are
+    within 1 ulp (glibc's bound): 2 eps relative, eps absolute on [-1, 1],
+    eps = 2^-53.  To first order, per node, with r = rho(u), g = Re G,
+    |G| = r^-2 and G' = G (4 (A'+iB')/(A+iB) + ijr - 4 e sin u / r):
+      the node fl((k - n/2) 2pi/n), off by 1.36 eps |u|, with
+        |u g'| <= pi (6 sqrt(2) r^-2 + |j| r^-1) on [-pi, pi];
+      s, a, b turn arg(A + iB) by 3.75 eps: 15 eps r^-2;
+      P, Q, the products, cos, sin and the quotient: 32 eps r^-2;
+      rho = 1 - e cos u, its subtraction exact where it cancels, is off by
+        1.5 eps + eps r: (3/r + 2) eps r^-2;
+      the phase, off by (3 + 2 pi) |j| eps: as much times r^-2.
+    The node mean of r^-p exceeds its mean over u, I_1 = (1-e^2)^-1/2,
+    I_2 = (1-e^2)^-3/2 or I_3 = (1 + e^2/2)(1-e^2)^-5/2, by <= T/8 (its Fourier
+    coefficients are >= 0, its strip bound <= M(y)/16); fsum adds eps I_2/2
+    after halving.  Rounding the constants up absorbs second-order terms.
+    """
+    c = (1.0 - e) * (1.0 + e)
+    i1 = 1.0 / math.sqrt(c)
+    i2 = i1 / c
+    i3 = (1.0 + 0.5 * e * e) * i2 / c
+    # beyond |j| = 2**53 the phase term alone is far above any accuracy asked
+    return 2.0**-53 * (44.0 * i2 + 2.0 * i3 + min(abs(j), 2.0**53) * (5.0 * i2 + 3.0 * i1))
 
 
 def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
-    """Coefficient alpha_j(e) by periodic-trapezoid quadrature.
+    """Coefficient alpha_j(e) by periodic-trapezoid quadrature, within
+    FLOAT_SLACK.
 
-    Spectrally accurate for the analytic integrand; a doubled-node
-    evaluation guards against under-resolution.  The integrand is evaluated
-    once, on 2*n_quad nodes: the n_quad nodes are its even-index ones, bit
-    for bit (2 pi (2k)/(2n) == 2 pi k/n in floating point).  Its
-    j-independent factors come from the module's one cache entry when the
-    previous call had the same (e, n_quad), so tabulating j = 1..J at one e
-    builds them once; the entry holds four arrays of 2*n_quad doubles
-    (128 KiB at n_quad = 2048, 4 MiB at 65536).
+    The grid, chosen before any node is evaluated, is the smallest power of
+    two n in [64, n_quad] with T(e, j, n) + R(e, j) <= FLOAT_SLACK (T from
+    ``_log_truncation_bound``, R from ``_rounding_bound``; both grow with |j|).
 
     Args:
-        e: real eccentricity in [0, 1).
+        e: real eccentricity in [0, 1), evaluated as a Python float.
         j: nonzero integer harmonic (the expansion has no j = 0 term).
-        n_quad: number of quadrature nodes, even, from 64 to 2**20.
+        n_quad: the most quadrature nodes allowed, even, from 64 to 2**20.
 
     Raises:
-        QuadratureError: the n_quad and 2*n_quad evaluations differ by
-            more than FLOAT_SLACK: increase n_quad, unless ``at_floor`` says
-            the gap or the sum's round-off floor is above FLOAT_SLACK (from
-            about e = 0.99603 up, at any n_quad).
+        QuadratureError: ``at_floor`` when R alone exceeds FLOAT_SLACK (from
+            e = 0.99664 at |j| = 1, or |j| = 112585 at e = 0); else n_quad
+            is too small for T + R.
     """
+    e = float(e)
     if not isinstance(j, numbers.Integral):
         raise ValueError(f"harmonic j must be an integer, got j={j}")
     if j == 0:
@@ -169,10 +160,17 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
     if not 64 <= n_quad <= 2**20 or n_quad % 2:
         raise ValueError(f"n_quad must be even, >= 64 and <= 2**20, got {n_quad}")
-    terms = _alpha_integrand(e, j, 2 * n_quad)
-    # periodic trapezoid = plain node average; fsum rounds each sum once, so
-    # neither depends on the order of its terms
-    summands = terms.tolist()
-    value = -0.5 * math.fsum(summands[::2]) / n_quad
-    refined = -0.5 * math.fsum(summands) / (2 * n_quad)
-    return _doubling_checked(value, refined, e, j, terms[::2])
+    rounding = _rounding_bound(e, j)
+    if not rounding < FLOAT_SLACK:
+        raise QuadratureError(f"alpha_{j}({e}): the sum's rounding bound {rounding:.3e} "
+                              f"exceeds {FLOAT_SLACK:g}: the quadrature has reached the "
+                              "round-off floor", at_floor=True)
+    n, log_budget = 64, math.log(FLOAT_SLACK - rounding)
+    while _log_truncation_bound(e, j, n) > log_budget:
+        n *= 2
+        if n > n_quad:
+            raise QuadratureError(f"alpha_{j}({e}): the error bound exceeds "
+                                  f"{FLOAT_SLACK:g} on every grid; n_quad={n_quad} too small")
+    # periodic trapezoid = plain node average; fsum rounds the sum once, so
+    # it does not depend on the order of its terms
+    return -0.5 * math.fsum(_alpha_integrand(e, j, n).tolist()) / n

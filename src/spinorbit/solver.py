@@ -207,8 +207,8 @@ class ResonantOrbit:
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
             "u_coefficients": [[c.real, c.imag] for c in coeffs],
-            "t": list(s),
-            "x": list(np.asarray(self.x_of(s), dtype=float)),
+            "t": s.tolist(),
+            "x": np.asarray(self.x_of(s), dtype=float).tolist(),
         }
 
     def to_json(self, n_samples: int = 256) -> str:

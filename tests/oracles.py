@@ -1,15 +1,16 @@
 """Test references the package does not ship: the Kepler solve at complex e,
 alpha_j on the mean-anomaly grid, the eccentric-anomaly integrand rebuilt
 in one expression per call and its trapezoid on one grid of n nodes, the
-truncated series in ``Fraction`` arithmetic, V_xx and the sup bounds on V_x
-and V_xx, the right-hand side of the spin equation at one state, the RK4
-loop on numpy scalars, the Green operator and its norm bound,
-PeriodicFunction arithmetic and its evaluation through an exponential
-matrix.
+truncated series in ``Fraction`` arithmetic and its coefficients derived
+from the Hansen integral, V_xx and the sup bounds on V_x and V_xx, the
+right-hand side of the spin equation at one state, the RK4 loop on numpy
+scalars, the Green operator and its norm bound, PeriodicFunction
+arithmetic and its evaluation through an exponential matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code; the integrand does not, so that it checks the
-package's cached one.  Pytest does not collect this module."""
+package's order of operations, for which its rounding bound is derived.
+Pytest does not collect this module."""
 
 import cmath
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
 from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
                               eccentric_anomaly)
-from spinorbit.potential import _doubling_checked, _quadrature_nodes, potential_fx
+from spinorbit.potential import FLOAT_SLACK, QuadratureError, potential_fx
 from spinorbit.series import _SERIES, CANONICAL_ORDER
 from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
 
@@ -171,9 +172,9 @@ def _kernel_from_u(e, u):
 
 def alpha_integrand_reference(e, j, n_quad):
     """The eccentric-anomaly integrand of ``fourier_coefficient`` on n_quad
-    nodes, rebuilt whole at each call in the package's order of operations:
-    the package's cached factors must give it bit for bit."""
-    u = _quadrature_nodes(n_quad)
+    nodes (a power of two), in the package's order of operations, which
+    must give it bit for bit."""
+    u = 2.0 * np.pi / n_quad * np.arange(-n_quad // 2, n_quad // 2)
     s = math.sqrt((1.0 + e) / (1.0 - e))
     a = s * np.sin(0.5 * u)
     b = np.cos(0.5 * u)
@@ -186,19 +187,9 @@ def alpha_integrand_reference(e, j, n_quad):
 
 
 def alpha_trapezoid_reference(e, j, n_quad):
-    """The n_quad-node trapezoid as ``fourier_coefficient`` took it before it
-    evaluated one nested grid of 2*n_quad nodes: its own grid, and fsum over
+    """The n_quad-node trapezoid of the reference integrand, by fsum over
     numpy scalars."""
     return -0.5 * math.fsum(alpha_integrand_reference(e, j, n_quad)) / n_quad
-
-
-def fourier_coefficient_reference(e, j, n_quad):
-    """``fourier_coefficient`` on the reference integrand: the n_quad- and
-    2*n_quad-node trapezoids on their own grids, through the package's
-    doubled-node check."""
-    return _doubling_checked(alpha_trapezoid_reference(e, j, n_quad),
-                             alpha_trapezoid_reference(e, j, 2 * n_quad), e, j,
-                             alpha_integrand_reference(e, j, n_quad))
 
 
 def alpha_series_reference(j: int, e: float) -> float:
@@ -216,8 +207,49 @@ def alpha_series_reference(j: int, e: float) -> float:
     return float(acc)
 
 
+def _truncated_product(f, g, order):
+    """f g through e^order, for power series in e given as lists of their
+    coefficients, Laurent polynomials in z as {power: Fraction}."""
+    out = [{} for _ in range(order + 1)]
+    for k, fk in enumerate(f[: order + 1]):
+        for gl, acc in zip(g, out[k:]):
+            for p, a in fk.items():
+                for q, b in gl.items():
+                    acc[p + q] = acc.get(p + q, 0) + a * b
+    return out
+
+
+def _binomial_laurent(k, sign):
+    """((z + sign/z)/2)^k as {power: Fraction}."""
+    return {k - 2 * i: Fraction(math.comb(k, i) * sign**i, 2**k) for i in range(k + 1)}
+
+
+def hansen_series(j: int, order: int) -> list:
+    """The Taylor coefficients of alpha_j(e) through e^order, derived exactly:
+    alpha_j = -(1/2) X_j^{-3,2}(e), a Hansen coefficient, is -1/2 times the
+    z^0 term of
+
+        (((1-b) z + (1+b)/z)/2 - e)^2 (1 - e (z + 1/z)/2)^-4 exp(-j e (z - 1/z)/2) z^j
+
+    with z = e^{iu} on the eccentric anomaly u and b = sqrt(1 - e^2), every
+    factor expanded in powers of e with Laurent polynomials in z as
+    coefficients."""
+    b, binom = [Fraction(0)] * (order + 1), Fraction(1)
+    for k in range(order // 2 + 1):  # b = sum_k binom(1/2, k) (-e^2)^k
+        b[2 * k], binom = binom * (-1) ** k, binom * (Fraction(1, 2) - k) / (k + 1)
+    radial = [{1: (int(k == 0) - b[k]) / 2, -1: (int(k == 0) + b[k]) / 2, 0: -int(k == 1)}
+              for k in range(order + 1)]
+    inverse_rho4 = [{p: math.comb(k + 3, 3) * c for p, c in _binomial_laurent(k, 1).items()}
+                    for k in range(order + 1)]
+    kepler = [{p: Fraction((-j) ** k, math.factorial(k)) * c
+               for p, c in _binomial_laurent(k, -1).items()} for k in range(order + 1)]
+    product = _truncated_product(_truncated_product(radial, radial, order),
+                                 _truncated_product(inverse_rho4, kepler, order), order)
+    return [-term.get(-j, Fraction(0)) / 2 for term in product]
+
+
 def _alpha_exponential(e, j, n_quad):
-    t = _quadrature_nodes(n_quad)
+    t = 2.0 * np.pi * np.arange(n_quad) / n_quad
     weights = tidal_kernel(e, t) * np.exp(-1j * j * t)
     return complex(math.fsum(weights.real) / n_quad, math.fsum(weights.imag) / n_quad)
 
@@ -227,14 +259,17 @@ def fourier_coefficient_exponential(e: float, j: int, n_quad: int = 2048) -> com
 
     Independent of ``fourier_coefficient``: integrates on the mean-anomaly
     grid (one Kepler solve per node) instead of the eccentric-anomaly grid.
-    The imaginary part is a numerical-zero diagnostic.  The package's
-    doubled-node check raises QuadratureError on under-resolution.
+    The imaginary part is a numerical-zero diagnostic.  Raises
+    QuadratureError when the value on 2*n_quad nodes differs by more than
+    FLOAT_SLACK.
     """
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
-    return _doubling_checked(_alpha_exponential(e, j, n_quad),
-                             _alpha_exponential(e, j, 2 * n_quad), e, j,
-                             alpha_integrand_reference(e, j, n_quad))
+    value, refined = _alpha_exponential(e, j, n_quad), _alpha_exponential(e, j, 2 * n_quad)
+    if abs(value - refined) > FLOAT_SLACK:
+        raise QuadratureError(f"alpha_{j}({e}): doubling the mean-anomaly grid moved it by "
+                              f"{abs(value - refined):.3e}; n_quad={n_quad} too small")
+    return value
 
 
 # ------------------------------------------------ periodic functions

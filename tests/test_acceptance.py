@@ -36,7 +36,7 @@ MERCURY = bundled_catalog("mercury")[0]
 MINOR = bundled_catalog("minor")
 
 # quadrature rounding allowance wherever a certified bound dips below what
-# double precision can resolve (the quadrature's own doubling-check level)
+# double precision can resolve (the quadrature's proven accuracy)
 FLOAT_SLACK = 1e-10
 
 

@@ -193,13 +193,30 @@ def test_fourier_unresolved_quadrature_refused(capsys):
 
 
 def test_fourier_round_off_floor_not_sent_to_more_nodes(capsys):
-    # at e = 0.9999 the doubled-node gap is rounding at every n_quad: the
-    # refusal says so instead of asking for more nodes
+    # at e = 0.9999 the rounding bound alone exceeds 1e-10 at every n_quad:
+    # the refusal says so instead of asking for more nodes
     code, out, err = run_cli(capsys, "fourier", "0.9999", "--jmax", "1", "--nquad", "65536")
     assert code == 1
     assert out == ""
     assert "round-off floor" in err
     assert "raise --nquad" not in err
+
+
+def test_fourier_refuses_the_top_harmonic_before_any_other_row(capsys, monkeypatch):
+    # both error bounds grow with |j|: --jmax is asked for first, and its
+    # phase rounding alone exceeds 1e-10 here, which more nodes do not lower
+    real, calls = potential.fourier_coefficient, []
+    monkeypatch.setattr(potential, "fourier_coefficient",
+                        lambda e, j, n_quad: calls.append(j) or real(e, j, n_quad))
+    code, out, err = run_cli(capsys, "fourier", "0.2", "--jmax", "100000000")
+    assert (code, out, calls) == (1, "", [100000000])
+    assert "round-off floor" in err and "raise --nquad" not in err
+
+
+def test_fourier_rows_ascend_after_the_top_one_is_computed(capsys):
+    code, out, _ = run_cli(capsys, "fourier", "0.99", "--jmax", "8", "--format", "json")
+    assert code == 0
+    assert [r["j"] for r in json.loads(out)] == list(range(1, 9))
 
 
 def test_fourier_invalid_eccentricity_exit_two(capsys):

@@ -419,6 +419,12 @@ def test_orbit_export_round_trip():
     assert len(payload["x"]) == 32
 
 
+def test_orbit_export_samples_are_python_floats():
+    # json's encoder takes Python floats faster than np.float64, byte for byte
+    payload = solve_bifurcation(moon_params()).to_dict(n_samples=8)
+    assert {type(v) for v in payload["t"] + payload["x"]} == {float}
+
+
 # --------------------------------------- phase kernel against per-phase solves
 #
 # Reference: one fixed-point loop per phase on PeriodicFunction values,
