@@ -15,8 +15,9 @@ Fourier representation (one RangeSolution per phase solve), and a scalar
 for the phase xi, solved by a bracketed root search (regula falsi with a
 halving safeguard) on [pi/4, 3 pi/4], the bracket between the extremizers
 of the leading term -2 alpha_j sin(2 xi) on which the certification
-conditions prove a root.  Every numerical failure of a solve is a
-SolverError.
+conditions prove a root.  The search runs in s = -sin(2 xi) on [-1, 1],
+where phi is that leading term, 2 alpha_j s, plus O(eps_hat), so nearly
+linear.  Every numerical failure of a solve is a SolverError.
 
 All operations are pure; a solve is deterministic for fixed inputs.
 """
@@ -279,9 +280,9 @@ def _bracketed_root(f, lo, hi, tol):
     regula falsi that always keeps the sign bracket: a step outside the
     open bracket, or one after three steps that together did not halve
     it, is replaced by the midpoint.  Raises SolverError once the
-    bracket is narrower than 1e-15; for |lo|, |hi| < 4, as for the phase
-    bracket, a wider bracket is at least three units in the last place
-    wide, so its midpoint lies strictly inside.
+    bracket is narrower than 1e-15; inside [-1, 1], the phase bracket in
+    s, floats are at most 2**-53 apart, so a wider bracket holds at least
+    nine and its midpoint lies strictly inside.
     """
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
@@ -323,7 +324,11 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
 
     Roots phi - target on [pi/4, 3*pi/4], the bracket between the
     extremizers of the leading term of phi, where the certified range of
-    phi contains the target; the search (``_bracketed_root``) takes an
+    phi contains the target.  The search runs in s = -sin(2 xi) on
+    [-1, 1], which the increasing xi(s) = pi/2 + asin(s)/2 maps onto the
+    bracket end to end (bit for bit); there phi is linear up to
+    O(eps_hat).  Each phase solved is xi(s), and the root returned is the
+    xi at which phi was evaluated.  The search (``_bracketed_root``) takes an
     endpoint within tolerance, refuses (SolverError) a bracket without a
     sign change and otherwise keeps one at every step, so the root stays in
     that interval.  Existence, not uniqueness, is guaranteed: other roots
@@ -347,14 +352,14 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     ws = _Workspace(params, N)
     solved = {}
 
-    def phi_tilde(xi):
-        solved[xi] = _fixed_point(xi, ws)
-        return solved[xi].phi - target
+    def phi_tilde(s):
+        solved[s] = _fixed_point(math.pi / 2.0 + math.asin(s) / 2.0, ws)
+        return solved[s].phi - target
 
-    root = _bracketed_root(phi_tilde, math.pi / 4.0, 3.0 * math.pi / 4.0, _TOL_BIFURCATION)
+    root = solved[_bracketed_root(phi_tilde, -1.0, 1.0, _TOL_BIFURCATION)]
     return ResonantOrbit(
         params=params,
-        xi_star=root,
-        u=solved[root].u,
-        bifurcation_residual=abs(solved[root].phi - target),
+        xi_star=root.xi,
+        u=root.u,
+        bifurcation_residual=abs(root.phi - target),
     )

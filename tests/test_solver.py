@@ -503,22 +503,27 @@ def _certified_bodies():
     return bodies
 
 
-def test_phase_solves_match_per_phase_reference(monkeypatch):
+def _record_phase_solves(monkeypatch):
+    """The RangeSolution of every phase solve from here on, in call order."""
     kernel = solver._fixed_point
-    seen = {}
+    solves = []
 
-    def recording_kernel(xi, *args, **kwargs):
-        result = kernel(xi, *args, **kwargs)
-        seen[xi] = result.phi
-        return result
+    def recording_kernel(*args, **kwargs):
+        solves.append(kernel(*args, **kwargs))
+        return solves[-1]
 
     monkeypatch.setattr(solver, "_fixed_point", recording_kernel)
+    return solves
+
+
+def test_phase_solves_match_per_phase_reference(monkeypatch):
+    solves = _record_phase_solves(monkeypatch)
     for body in _certified_bodies():
         cap = certify(body).eta_admissible
         for eta in (0.0, 0.5 * cap, cap):
             params = ResonanceParams.from_body(body, eta=eta)
             target = params.eta_hat * params.nu_hat / params.eps_hat
-            seen.clear()
+            solves.clear()
             orbit = solve_bifurcation(params)
             solve, ws = _phase_reference(params, solver._MODES[body.q])
             root = _bifurcation_reference(solve, target)
@@ -534,28 +539,56 @@ def test_phase_solves_match_per_phase_reference(monkeypatch):
             # the time average of x(q t) - p t is the root itself
             assert orbit.xi_star + float(np.mean(u.samples(ws.n))) == orbit.xi_star, case
             # every phase solved lies in the bracket and gives the same phi
-            assert all(math.pi / 4.0 <= xi <= 3.0 * math.pi / 4.0 for xi in seen), case
-            assert all(seen[xi] == solve(xi)[1] for xi in seen), case
+            assert all(math.pi / 4.0 <= r.xi <= 3.0 * math.pi / 4.0 for r in solves), case
+            assert all(r.phi == solve(r.xi)[1] for r in solves), case
 
 
 def test_root_search_makes_few_kernel_calls(monkeypatch):
     # one call per phase solve: the 2 bracket endpoints plus a handful of
-    # root steps; bisection made ~30 steps
-    kernel = solver._fixed_point
+    # root steps in s = -sin(2 xi), where phi is nearly linear; regula falsi
+    # in xi made up to 9 (mean 5.5), bisection ~30
+    solves = _record_phase_solves(monkeypatch)
     calls = []
-
-    def counting_kernel(*args, **kwargs):
-        calls[-1] += 1
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_fixed_point", counting_kernel)
     for body in _certified_bodies():
         cap = certify(body).eta_admissible
         for eta in (0.5 * cap, cap):
-            calls.append(0)
+            solves.clear()
             solve_bifurcation(ResonanceParams.from_body(body, eta=eta))
+            calls.append(len(solves))
     assert len(calls) == 42
-    assert max(calls) <= 10 and sum(calls) / len(calls) <= 6.0, calls
+    assert max(calls) <= 6 and sum(calls) / len(calls) <= 4.5, calls
+
+
+def test_solve_without_dissipation_takes_three_phase_solves(monkeypatch):
+    # the bracket ends, then the first secant lands on s = 0, xi = pi/2,
+    # where phi vanishes by symmetry
+    solves = _record_phase_solves(monkeypatch)
+    for body in _certified_bodies():
+        solves.clear()
+        orbit = solve_bifurcation(ResonanceParams.from_body(body, eta=0.0))
+        assert orbit.xi_star == math.pi / 2.0, body.name
+        assert [r.xi for r in solves] == [math.pi / 4.0, 3.0 * math.pi / 4.0,
+                                          math.pi / 2.0], body.name
+
+
+def test_every_phase_solve_contracts_within_the_proven_rate(monkeypatch):
+    # criterion 9's rate check on every phase solve of the 63 solves
+    # (21 certified bodies x 3 etas): the observed ratio of consecutive
+    # increments stays below (5/2) eps_hat sup|V_xx| (at most 0.40 of it)
+    solves = _record_phase_solves(monkeypatch)
+    checked = 0
+    for body in _certified_bodies():
+        cap = certify(body).eta_admissible
+        for eta in (0.0, 0.5 * cap, cap):
+            params = ResonanceParams.from_body(body, eta=eta)
+            rate_bound = 2.5 * params.eps_hat * fxx_sup_bound(params.e) + 1e-3
+            solves.clear()
+            solve_bifurcation(params)
+            for r in solves:
+                ratios = [y / x for x, y in zip(r.increments, r.increments[1:]) if x > 1e-9]
+                assert all(ratio <= rate_bound for ratio in ratios), (body.name, eta, r.xi, ratios)
+                checked += len(ratios)
+    assert checked > 500, checked
 
 
 def test_phase_kernel_returns_the_range_solution():
