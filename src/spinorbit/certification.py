@@ -22,7 +22,9 @@ conservative) and m = (1-e)^6:
 
 :func:`conditions` is the one statement of these inequalities, with the
 reason each failure gives; the certifier, the solver's preconditions and
-the command line all read it.
+the command line all read it.  :func:`json_text` is the package's one JSON
+writer, ``json.dumps(value, indent=1)`` byte for byte: the report rows, the
+orbit and the coefficient table all go through it.
 """
 
 import csv
@@ -45,6 +47,7 @@ __all__ = [
     "reports_to_markdown",
     "REPORT_COLUMNS",
     "json_value",
+    "json_text",
 ]
 
 # Largest eta_hat keeping the Green-operator norm bound at 5/4:
@@ -163,6 +166,62 @@ def json_value(value):
     return repr(value) if isinstance(value, float) and math.isinf(value) else value
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+def _brackets(items) -> str:
+    """'' when no item is a container, '[]' when every item is a list or
+    tuple, '{}' when every item is a dict, and '?' otherwise."""
+    types = {type(v) for v in items}
+    if not any(issubclass(t, _CONTAINERS) for t in types):
+        return ""
+    if all(issubclass(t, (list, tuple)) for t in types):
+        return "[]"
+    return "{}" if all(issubclass(t, dict) for t in types) else "?"
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=1)``, byte for byte, mostly from json's C encoder.
+
+    ``indent`` makes json fall back to its pure-Python encoder.  Without it
+    the C encoder runs, and it takes any string as its item separator.  So
+    a flat container (one that holds no container) is one C call, whose
+    separator is the line break and indent of its items' level.  A list of
+    non-empty flat containers of one kind, all lists or all dicts, is one
+    C call at the level of their items; the seams between the containers
+    are then re-broken.  The C encoder escapes a newline inside a string,
+    so a closing bracket followed by a raw newline is always such a seam.
+    Everything else recurses in Python.  Keys must be ``str``, as they are
+    in every payload of this package.  Standard library only, so
+    ``certify`` still imports no numpy.
+    """
+    return _json_text(value, 0)
+
+
+def _json_text(value, level: int) -> str:
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    outer, inner = "\n" + " " * level, "\n" + " " * (level + 1)
+    is_dict = isinstance(value, dict)
+    brackets = _brackets(value.values() if is_dict else value)
+    if not brackets:
+        text = json.dumps(value, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        parts = [json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    if brackets != "?" and all(value) and not _brackets(
+            x for v in value for x in (v.values() if brackets == "{}" else v)):
+        start, end = brackets
+        deep = inner + " "
+        text = json.dumps(value, separators=("," + deep, ": "))
+        body = text[2:-2].replace(end + "," + deep + start,
+                                  inner + end + "," + inner + start + deep)
+        return "[" + inner + start + deep + body + inner + end + outer + "]"
+    parts = [_json_text(v, level + 1) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+
 def certify(body: Body) -> CertificationReport:
     """Evaluate all conditions for one body at eta = 0, in unhatted units."""
     c = conditions(ResonanceParams.from_body(body))
@@ -197,7 +256,7 @@ def reports_to_csv(reports) -> str:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=1) + "\n"
+    return json_text([r.to_dict() for r in reports]) + "\n"
 
 
 def reports_to_markdown(reports) -> str:

@@ -32,7 +32,6 @@ modules they use inside their handlers.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -128,7 +127,7 @@ def _render_fourier(rows, fmt: str) -> str:
     cols = tuple(rows[0])
     if fmt == "json":
         rows = [{c: cert.json_value(v) for c, v in r.items()} for r in rows]
-        return json.dumps(rows, indent=1) + "\n"
+        return cert.json_text(rows) + "\n"
 
     def cell(v):
         if v is None:
@@ -186,7 +185,7 @@ def cmd_orbit(args) -> int:
     payload = orbit.to_dict(n_samples=args.samples)
     payload["orbit_residual"] = residual
     payload["certification"] = cert.certify(body).to_dict()
-    return _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    return _emit(cert.json_text(payload) + "\n", args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

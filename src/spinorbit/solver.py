@@ -7,7 +7,8 @@ with u a 2*pi-periodic zero-average correction.  u solves
 
 which splits into a fixed-point ("range") equation on the zero-average
 part, solved here one phase at a time by contraction in a truncated
-Fourier representation (one RangeSolution per phase solve), and a scalar
+Fourier representation (one RangeSolution per phase solve, whose forcing
+spectrum is checked for aliasing once, at the returned iterate), and a scalar
 ("bifurcation") equation
 
     phi(xi) := <V_x(xi + p t + u(t; xi), q t)> = eta_hat nu_hat / eps_hat
@@ -22,7 +23,6 @@ linear.  Every numerical failure of a solve is a SolverError.
 All operations are pure; a solve is deterministic for fixed inputs.
 """
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ResonanceParams
-from .certification import conditions
+from .certification import conditions, json_text
 from .kepler import anomalies
 
 __all__ = [
@@ -108,7 +108,7 @@ class PeriodicFunction:
 def _synthesize(coefficients, n: int):
     """Values at n uniform nodes of modes 0..N <= n//2 (irfft pads with zeros);
     mode 0 is exactly 0 at both callers, by PeriodicFunction's invariant and
-    ``_project``'s zeroed mean."""
+    ``_fixed_point``'s zeroed mean."""
     return np.fft.irfft(coefficients * n, n)
 
 
@@ -132,23 +132,20 @@ class _Workspace:
         self.pt = params.p * t
         _, rho, f = anomalies(params.e, params.q * t)
         self.two_f = 2.0 * f
-        self.inv_rho3 = 1.0 / rho**3
+        self.neg_inv_rho3 = -(1.0 / rho**3)
 
     def neg_fx_samples(self, xi, u_samples) -> np.ndarray:
         x = xi + self.pt + u_samples
-        return -np.sin(2.0 * x - self.two_f) * self.inv_rho3
+        return np.sin(2.0 * x - self.two_f) * self.neg_inv_rho3
 
 
-def _project(samples, order: int):
-    """Zero-mean spectral projection plus aliasing check.
+def _check_spectrum(spectrum, mean):
+    """Aliasing check on ``spectrum``, rfft(samples)/n, whose mode 0 is
+    ``mean`` (the caller may have zeroed it since).
 
-    Returns (modes 0..order with mode 0 zeroed, removed mean).  Raises
-    SolverError when the top third of the resolved band holds more than
-    1e-8 of the total oscillatory energy.
+    Raises SolverError when the top third of the resolved band holds more
+    than 1e-8 of the total oscillatory energy.
     """
-    n = len(samples)
-    spectrum = np.fft.rfft(samples) / n
-    mean = spectrum[0].real
     energy = np.abs(spectrum[1:]) ** 2
     cutoff = int(math.ceil(2.0 * len(energy) / 3.0))
     # reference power includes the mean so that rounding noise riding on a
@@ -159,9 +156,6 @@ def _project(samples, order: int):
     if top > 1e-8 * total and total > 1e-20:
         raise SolverError(f"unresolved collocation spectrum (top-band energy fraction "
                           f"{top / total:.2e} of the signal power); increase the truncation order")
-    c = spectrum[: order + 1]
-    c[0] = 0.0
-    return c, mean
 
 
 @dataclass(frozen=True)
@@ -202,18 +196,17 @@ class ResonantOrbit:
 
     def to_dict(self, n_samples: int = 256) -> dict:
         s = 2.0 * np.pi * self.params.q * np.arange(n_samples) / n_samples
-        coeffs = self.u.coefficients
         return {
             **{f.name: getattr(self.params, f.name) for f in fields(self.params)},
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
-            "u_coefficients": [[c.real, c.imag] for c in coeffs],
+            "u_coefficients": self.u.coefficients.view(float).reshape(-1, 2).tolist(),
             "t": s.tolist(),
             "x": np.asarray(self.x_of(s), dtype=float).tolist(),
         }
 
     def to_json(self, n_samples: int = 256) -> str:
-        return json.dumps(self.to_dict(n_samples), indent=1) + "\n"
+        return json_text(self.to_dict(n_samples)) + "\n"
 
 
 def _require(params: ResonanceParams, names):
@@ -233,13 +226,19 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     """Fixed point u(.; xi) of the contraction at the phase xi, and phi(xi).
 
     Iterates on the workspace ``ws`` from u = 0 (or ``initial``) until the
-    sup-norm increment is <= _TOL_FIXED_POINT.
+    sup-norm increment is <= _TOL_FIXED_POINT, then checks once that the
+    forcing spectrum of the returned iterate is resolved (``_check_spectrum``).
     """
     samples = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     steps = []
+    xi_pt = xi + ws.pt
     for _ in range(_RANGE_ITERATION_CAP):
-        rhs, _ = _project(ws.neg_fx_samples(xi, samples), ws.order)
-        c = (rhs * ws.multiplier) * ws.eps_hat
+        # ws.neg_fx_samples(xi, samples), with xi + pt hoisted
+        spectrum = np.fft.rfft(np.sin(2.0 * (xi_pt + samples) - ws.two_f) * ws.neg_inv_rho3) / ws.n
+        mean = spectrum[0].real
+        c = spectrum[: ws.order + 1]
+        c[0] = 0.0
+        c = (c * ws.multiplier) * ws.eps_hat
         new = _synthesize(c, ws.n)
         steps.append(float(np.max(np.abs(new - samples))))
         samples = new
@@ -248,6 +247,8 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     else:
         raise SolverError(f"fixed-point iteration cap {_RANGE_ITERATION_CAP} reached at "
                           f"xi={xi:.6g} (last increment {steps[-1]:.3e}); check N")
+    # the spectrum whose projection c is returned; earlier iterates are discarded
+    _check_spectrum(spectrum, mean)
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
     phi = -(math.fsum(ws.neg_fx_samples(xi, samples).tolist()) / ws.n)

@@ -4,8 +4,9 @@ in one expression per call and its trapezoid on one grid of n nodes, the
 truncated series in ``Fraction`` arithmetic and its coefficients derived
 from the Hansen integral, V_xx and the sup bounds on V_x and V_xx, the
 right-hand side of the spin equation at one state, the RK4 loop on numpy
-scalars, the Green operator and its norm bound, PeriodicFunction
-arithmetic and its evaluation through an exponential matrix.
+scalars, the Green operator and its norm bound, the zero-mean spectral
+projection, PeriodicFunction arithmetic and its evaluation through an
+exponential matrix.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code; the integrand does not, so that it checks the
@@ -24,7 +25,7 @@ from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomal
                               eccentric_anomaly)
 from spinorbit.potential import FLOAT_SLACK, QuadratureError, potential_fx
 from spinorbit.series import _SERIES, CANONICAL_ORDER
-from spinorbit.solver import PeriodicFunction, _green_multiplier, _project
+from spinorbit.solver import PeriodicFunction, _check_spectrum, _green_multiplier
 
 # ---------------------------------------------------- Kepler at complex e
 
@@ -350,3 +351,17 @@ def phi_hat(xi: float, u: PeriodicFunction, params, n_coll: Optional[int] = None
     values = -potential_fx(params.e, xi + params.p * t + u.samples(n), params.q * t)
     c, mean = _project(values, u.order)
     return PeriodicFunction(c), float(mean)
+
+
+def _project(samples, order: int):
+    """Zero-mean spectral projection, after the package's aliasing check.
+
+    Returns (modes 0..order with mode 0 zeroed, removed mean); raises
+    SolverError from ``_check_spectrum`` on an unresolved spectrum.
+    """
+    spectrum = np.fft.rfft(samples) / len(samples)
+    mean = spectrum[0].real
+    _check_spectrum(spectrum, mean)
+    c = spectrum[: order + 1]
+    c[0] = 0.0
+    return c, mean

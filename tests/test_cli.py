@@ -9,6 +9,7 @@ import pytest
 
 from spinorbit import catalog as cat
 from spinorbit import potential, solver
+from spinorbit.certification import certify
 from spinorbit.cli import main
 from spinorbit.series import alpha_series
 
@@ -174,6 +175,38 @@ def test_fourier_overflowing_remainder_is_strict_json(capsys):
     assert code == 0
     row3 = _strict_json(out)[2]
     assert row3["remainder_bound"] == "inf" and row3["within_bound"] is True
+
+
+def _indent_one(text):
+    """Whether ``text`` is json.dumps(payload, indent=1) + "\n" of the payload it holds."""
+    return text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+def test_every_json_output_is_json_dumps_indent_one(capsys):
+    # the package's one JSON writer is json's indent=1 encoder byte for byte:
+    # certify for every bundled catalog, orbit and to_json for the 21
+    # certified bodies at eta in {0, eta_adm/2, eta_adm}, and fourier inside,
+    # at the edge of and outside the disks
+    for selector in cat.BUNDLED_NAMES:
+        _, out, _ = run_cli(capsys, "certify", "--catalog", selector, "--format", "json")
+        assert _indent_one(out), selector
+    solves = 0
+    for selector in ("all", "minor"):
+        for body in cat.bundled_catalog(selector):
+            report = certify(body)
+            if not report.certified:
+                continue
+            for eta in (0.0, 0.5 * report.eta_admissible, report.eta_admissible):
+                code, out, _ = run_cli(capsys, "orbit", body.name, "--catalog", selector,
+                                       "--eta", repr(eta))
+                assert code == 0 and _indent_one(out), (body.name, eta)
+                orbit = solver.solve_bifurcation(cat.ResonanceParams.from_body(body, eta=eta))
+                assert orbit.to_json() == json.dumps(orbit.to_dict(), indent=1) + "\n"
+                solves += 1
+    assert solves == 63
+    for e in ("0", "0.2056", EDGE_E, "0.7"):
+        code, out, _ = run_cli(capsys, "fourier", e, "--jmax", "4", "--format", "json")
+        assert code == 0 and _indent_one(out), e
 
 
 def test_fourier_mercury_cross_check(capsys):

@@ -8,6 +8,7 @@ regression constants are frozen with the generating expressions quoted.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,25 @@ def test_series_coefficients_are_the_derived_hansen_coefficients(j):
     # every "certified: yes" trusts these transcribed rationals
     derived = hansen_series(j, CANONICAL_ORDER[j])
     assert {k: c for k, c in enumerate(derived) if c} == _SERIES[j]
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_derived_tail_lies_within_the_remainder_bound(j):
+    # the tail beyond the truncation order, summed exactly through e^31 at
+    # sampled e across the disk, lies within remainder_bound.  This checks
+    # the bound, it does not prove it: the terms past e^31 are left out, and
+    # the last derived term is asserted far below the bound so that they
+    # could not plausibly close the gap
+    order, top = CANONICAL_ORDER[j], 31
+    derived = hansen_series(j, top)
+    last = max(k for k, c in enumerate(derived) if c)
+    for fraction in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+        e = fraction * canonical_disk(j)
+        x = Fraction(e)
+        tail = sum(derived[k] * x**k for k in range(order + 1, top + 1))
+        bound = remainder_bound(e, order, CANONICAL_B[j])
+        assert abs(tail) <= bound, (e, float(tail), bound)
+        assert abs(derived[last] * x**last) <= 1e-6 * (bound - abs(tail)), e
 
 
 def test_truncation_order_is_the_highest_tabulated_power():

@@ -1,5 +1,6 @@
 """Properties of certify and the solver over random bodies filling the
-certified eccentricity disks (criterion 8 beyond the catalog)."""
+certified eccentricity disks (criterion 8 beyond the catalog), and of the
+JSON writer over random nested values."""
 
 import dataclasses
 import json
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorbit.catalog import Body, ResonanceParams
-from spinorbit.certification import certify, reports_to_json
+from spinorbit.certification import certify, json_text, reports_to_json
 from spinorbit.dynamics import orbit_residual
 from spinorbit.series import canonical_disk
 from spinorbit.solver import solve_bifurcation
@@ -44,3 +45,37 @@ def test_certify_is_total_strict_and_certified_bodies_solve(body):
             params = ResonanceParams.from_body(body, eta=eta)
             orbit = solve_bifurcation(params)
             assert orbit_residual(orbit) <= 1e-9, (body, eta)
+
+
+# strings that look like the writer's separators and seams, or need escapes
+_TRICKY = ["\n", "],", "},", "]", "}", "[", "{", '"', "\\", "\x00\x1f\x7f", "é", "\U0001d11e",
+           "],\n [", "},\n {", ": ", ", "]
+_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.integers(), st.integers(min_value=2**64, max_value=2**200).map(lambda n: n * (-1) ** n),
+    st.booleans(), st.none(),
+    st.text(), st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join),
+)
+_keys = st.one_of(st.text(max_size=4), st.sampled_from(_TRICKY))
+_flat = st.one_of(st.lists(_scalars, max_size=4), st.dictionaries(_keys, _scalars, max_size=4))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.lists(st.lists(_scalars, min_size=1, max_size=3), max_size=4),
+        st.lists(st.dictionaries(_keys, _scalars, min_size=1, max_size=3), max_size=4),
+        st.lists(_flat, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_values)
+@example([[1.5, -0.0], [math.nan, 2**70]])
+@example([{"a]": "\n", "b": None}, {"c": [], "d": True}])
+@example({"u": [[0.0, 0.0]], "t": [], "x": ["],\n [", {}], "e": {"k": -math.inf}})
+def test_json_text_is_json_dumps_indent_one(value):
+    assert json_text(value) == json.dumps(value, indent=1)

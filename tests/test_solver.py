@@ -425,6 +425,14 @@ def test_orbit_export_samples_are_python_floats():
     assert {type(v) for v in payload["t"] + payload["x"]} == {float}
 
 
+def test_orbit_export_coefficients_are_python_float_pairs():
+    payload = solve_bifurcation(mercury_params(eta=0.001)).to_dict(n_samples=8)
+    pairs = payload["u_coefficients"]
+    assert len(pairs) == 129 and {type(pair) for pair in pairs} == {list}
+    assert {len(pair) for pair in pairs} == {2}
+    assert {type(v) for pair in pairs for v in pair} == {float}
+
+
 # --------------------------------------- phase kernel against per-phase solves
 #
 # Reference: one fixed-point loop per phase on PeriodicFunction values,
@@ -589,6 +597,28 @@ def test_every_phase_solve_contracts_within_the_proven_rate(monkeypatch):
                 assert all(ratio <= rate_bound for ratio in ratios), (body.name, eta, r.xi, ratios)
                 checked += len(ratios)
     assert checked > 500, checked
+
+
+def test_one_spectrum_check_per_phase_solve(monkeypatch):
+    # the aliasing test runs on the iterate whose projection a phase solve
+    # returns, not on each of its iterations
+    solves = _record_phase_solves(monkeypatch)
+    check = solver._check_spectrum
+    checks = []
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(solver, "_check_spectrum", counting_check)
+    epimetheus, = (b for b in bundled_catalog("minor") if b.name == "Epimetheus")
+    for params in (moon_params(eta=0.004), mercury_params(eta=0.001),
+                   ResonanceParams.from_body(epimetheus, eta=0.004)):
+        solves.clear()
+        checks.clear()
+        solve_bifurcation(params)
+        assert len(checks) == len(solves) >= 3, params
+        assert sum(len(r.increments) for r in solves) > 3 * len(solves), params
 
 
 def test_phase_kernel_returns_the_range_solution():
