@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 __all__ = [
     "Body",
@@ -117,7 +116,7 @@ class Body:
     e: float
     p: int
     q: int
-    rigidity: Optional[float] = None
+    rigidity: float | None = None
 
     def __post_init__(self):
         # a line break or other control character would split a report row

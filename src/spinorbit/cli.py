@@ -36,7 +36,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import catalog as cat
 from . import certification as cert
@@ -47,7 +46,7 @@ _FORMATS = ("csv", "json", "md")
 _ORBIT_TOLERANCE = 1e-9
 
 
-def _bodies(selector: Optional[str], names=None) -> list:
+def _bodies(selector: str | None, names=None) -> list:
     """The bodies of the catalog (``selector``, $RESONANCE_CATALOG or 'all'),
     or those in ``names``, case-insensitive, in catalog order."""
     selector = selector or os.environ.get("RESONANCE_CATALOG") or "all"
@@ -68,7 +67,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _emit(text: str, out: Optional[str], code: int = 0) -> int:
+def _emit(text: str, out: str | None, code: int = 0) -> int:
     """Write ``text`` to ``out`` (stdout if None) and return ``code``, or 2
     when ``out`` cannot be written."""
     if not out:

@@ -1,14 +1,15 @@
 """Certified Taylor series of the potential's time harmonics alpha_j(e), j = 2, 3.
 
-``alpha_series`` is the truncated polynomial in e, exact on integers and
-rounded once; ``remainder_bound`` bounds its tail on the Cauchy disk
-e < b/cosh(b) (``canonical_disk``); ``alpha_lower_bound`` is the certified
+The coefficients are stated once, as the exact integers ``alpha_series``
+runs on: the truncated polynomial in e, evaluated on integers and rounded
+once.  ``remainder_bound`` bounds its tail on the Cauchy disk e < b/cosh(b)
+(``canonical_disk``); ``alpha_lower_bound`` is the certified
 |alpha_j(e)| >= |series| - remainder read by the certification conditions.
-Standard library only, so certifying a catalog never imports numpy.
+It imports ``math`` alone, so certifying a catalog loads neither numpy nor
+``fractions``.
 """
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "alpha_series",
@@ -20,45 +21,21 @@ __all__ = [
 ]
 
 
-# Taylor coefficients of alpha_2(e) (order 4) and alpha_3(e) (order 21),
-# exact rationals; index = power of e.  Only these two harmonics admit a
-# certified truncation, via the disk parameters in CANONICAL_B below.
-_ALPHA2_COEFFS = {
-    0: Fraction(-1, 2),
-    2: Fraction(5, 4),
-    4: Fraction(-13, 32),
+# Taylor coefficients of alpha_2(e) (order 4) and alpha_3(e) (order 21) as
+# exact integers {j: (D, numerators)}: alpha_2 is even in e and alpha_3 odd,
+# so the series is e^(j % 2) times a polynomial in e^2 whose coefficients
+# times the common denominator D are the numerators, highest power first.
+# ``hansen_series`` in the test oracles derives each rational exactly.  Only
+# these two harmonics admit a certified truncation, via CANONICAL_B below.
+_SERIES = {
+    2: (32, [-13, 40, -16]),
+    3: (92599494901760000, [467145991400853, 525165881515880, 594704601796800,
+                            679074098841600, 755186337382400, 1274267448115200,
+                            -3822611595264000, 39856667361280000, -176879503933440000,
+                            355929308528640000, -162049116078080000]),
 }
-
-_ALPHA3_COEFFS = {
-    1: Fraction(-7, 4),
-    3: Fraction(123, 32),
-    5: Fraction(-489, 256),
-    7: Fraction(1763, 4096),
-    9: Fraction(-13527, 327680),
-    11: Fraction(180369, 13107200),
-    13: Fraction(5986093, 734003200),
-    15: Fraction(24606987, 3355443200),
-    17: Fraction(33790034193, 5261334937600),
-    19: Fraction(1193558821627, 210453397504000),
-    21: Fraction(467145991400853, 92599494901760000),
-}
-
-_SERIES = {2: _ALPHA2_COEFFS, 3: _ALPHA3_COEFFS}
 # truncation order of each harmonic: the highest power in its table
-CANONICAL_ORDER = {j: max(coeffs) for j, coeffs in _SERIES.items()}
-
-
-def _integer_series(coeffs, order):
-    """(odd, D, numerators): alpha_2 is even in e and alpha_3 odd, so the
-    series is e^odd times a polynomial in e^2, whose coefficients times the
-    common denominator D are the integer numerators, highest power first."""
-    odd = order % 2
-    denominator = math.lcm(*(c.denominator for c in coeffs.values()))
-    numerators = [int(coeffs.get(k, 0) * denominator) for k in range(order, -1, -2)]
-    return odd, denominator, numerators
-
-
-_INTEGER_SERIES = {j: _integer_series(c, CANONICAL_ORDER[j]) for j, c in _SERIES.items()}
+CANONICAL_ORDER = {j: 2 * len(numerators) - 2 + j % 2 for j, (_, numerators) in _SERIES.items()}
 
 # Disk parameters chosen to tighten the Cauchy estimate for each harmonic.
 CANONICAL_B = {2: 0.462678, 3: 0.768368}
@@ -79,7 +56,7 @@ def alpha_series(j: int, e: float) -> float:
         raise ValueError(f"series coefficients available only for j in (2, 3), got {j}")
     if not (e >= 0.0 and math.isfinite(e)):
         raise ValueError(f"eccentricity must be finite and >= 0, got {e}")
-    odd, denominator, numerators = _INTEGER_SERIES[j]
+    denominator, numerators = _SERIES[j]
     m, d = e.as_integer_ratio()
     k = d.bit_length() - 1
     m2, k2 = m * m, 2 * k
@@ -88,7 +65,7 @@ def alpha_series(j: int, e: float) -> float:
     for c in numerators[1:]:
         shift += k2
         acc = acc * m2 + (c << shift)
-    if odd:
+    if j % 2:
         acc, shift = acc * m, shift + k
     return acc / (denominator << shift)
 

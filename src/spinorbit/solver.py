@@ -134,10 +134,6 @@ class _Workspace:
         self.two_f = 2.0 * f
         self.neg_inv_rho3 = -(1.0 / rho**3)
 
-    def neg_fx_samples(self, xi, u_samples) -> np.ndarray:
-        x = xi + self.pt + u_samples
-        return np.sin(2.0 * x - self.two_f) * self.neg_inv_rho3
-
 
 def _check_spectrum(spectrum, mean):
     """Aliasing check on ``spectrum``, rfft(samples)/n, whose mode 0 is
@@ -222,6 +218,15 @@ def _require(params: ResonanceParams, names):
             raise PreconditionError(reason)
 
 
+def _order(params: ResonanceParams, N) -> int:
+    """The truncation order: N, or by default ``_MODES[q]``.  Raises
+    ValueError, before anything is allocated, unless it is an integer >= 1."""
+    N = _MODES[params.q] if N is None else N
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"truncation order N must be an integer >= 1, got {N!r}")
+    return N
+
+
 def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     """Fixed point u(.; xi) of the contraction at the phase xi, and phi(xi).
 
@@ -233,7 +238,7 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     steps = []
     xi_pt = xi + ws.pt
     for _ in range(_RANGE_ITERATION_CAP):
-        # ws.neg_fx_samples(xi, samples), with xi + pt hoisted
+        # -V_x at the nodes, sin(2 x - 2 f) / rho^3 negated, on x = (xi + pt) + u
         spectrum = np.fft.rfft(np.sin(2.0 * (xi_pt + samples) - ws.two_f) * ws.neg_inv_rho3) / ws.n
         mean = spectrum[0].real
         c = spectrum[: ws.order + 1]
@@ -251,7 +256,8 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     _check_spectrum(spectrum, mean)
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    phi = -(math.fsum(ws.neg_fx_samples(xi, samples).tolist()) / ws.n)
+    neg_fx = np.sin(2.0 * (xi_pt + samples) - ws.two_f) * ws.neg_inv_rho3
+    phi = -(math.fsum(neg_fx.tolist()) / ws.n)
     return RangeSolution(xi=xi, u=PeriodicFunction(c), increments=tuple(steps), phi=phi)
 
 
@@ -266,9 +272,10 @@ def solve_range(xi: float, params: ResonanceParams, N: Optional[int] = None,
     its ball, so the starting iterate only affects the step count.  The
     truncation order N defaults to 64 for 1:1 and 128 for 3:2.  This is
     the phase solve ``solve_bifurcation`` makes at each phase it tries.
+    Any other N than an integer >= 1 is a ValueError.
     """
+    N = _order(params, N)
     _require(params, ("green", "range"))
-    N = _MODES[params.q] if N is None else N
     return _fixed_point(xi, _Workspace(params, N), initial)
 
 
@@ -337,8 +344,9 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     The root is also the time average of x(q t) - p t, because u has zero
     average by construction.  The root meets |phi - target| <= 1e-10, each
     phase's fixed point is solved as in ``solve_range``, and N defaults to
-    64 for 1:1 and 128 for 3:2; with these settings the orbit residual of
-    the certified bodies measured stays far below 1e-9.  ``scan_points``
+    64 for 1:1 and 128 for 3:2 (any other N than an integer >= 1 is a
+    ValueError); with these settings the orbit residual of the certified
+    bodies measured stays far below 1e-9.  ``scan_points``
     accepts only 0 (there is no phase scan); any other value is a
     ValueError.  Raises
     PreconditionError unless all four conditions hold at ``params`` (never
@@ -347,8 +355,8 @@ def solve_bifurcation(params: ResonanceParams, N: Optional[int] = None,
     """
     if scan_points != 0:
         raise ValueError(f"scan_points must be 0 (there is no phase scan), got {scan_points!r}")
+    N = _order(params, N)
     _require(params, ("green", "range", "nonempty", "bifurcation"))
-    N = _MODES[params.q] if N is None else N
     target = params.eta_hat * params.nu_hat / params.eps_hat
     ws = _Workspace(params, N)
     solved = {}

@@ -193,18 +193,23 @@ def alpha_trapezoid_reference(e, j, n_quad):
     return -0.5 * math.fsum(alpha_integrand_reference(e, j, n_quad)) / n_quad
 
 
+# the package's integer series as {power of e: Fraction}, read from its table
+SERIES_COEFFS = {j: {2 * i + j % 2: Fraction(c, d) for i, c in enumerate(reversed(numerators))}
+                 for j, (d, numerators) in _SERIES.items()}
+
+
 def alpha_series_reference(j: int, e: float) -> float:
     """``alpha_series`` as Horner's rule on ``Fraction`` objects: exact
     rational arithmetic on the binary value of e, rounded once at the end.
     ``alpha_series`` must match it bit for bit."""
-    if j not in _SERIES:
+    if j not in SERIES_COEFFS:
         raise ValueError(f"series coefficients available only for j in (2, 3), got {j}")
     if e < 0.0:
         raise ValueError(f"eccentricity must be >= 0, got {e}")
     e_exact = Fraction(e)
     acc = Fraction(0)
     for k in range(CANONICAL_ORDER[j], -1, -1):
-        acc = acc * e_exact + _SERIES[j].get(k, Fraction(0))
+        acc = acc * e_exact + SERIES_COEFFS[j].get(k, Fraction(0))
     return float(acc)
 
 

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (alpha_series_reference, alpha_trapezoid_reference,
+from oracles import (SERIES_COEFFS, alpha_series_reference, alpha_trapezoid_reference,
                      fourier_coefficient_exponential, fxx_sup_bound, hansen_series,
                      potential_fxx, tidal_kernel)
 from spinorbit import potential
 from spinorbit.catalog import bundled_catalog
 from spinorbit.potential import QuadratureError, fourier_coefficient, potential_fx
 from spinorbit.series import (
-    _SERIES,
     CANONICAL_B,
     CANONICAL_ORDER,
     alpha_lower_bound,
@@ -270,9 +269,9 @@ def test_alpha_series_values():
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_series_coefficients_are_the_derived_hansen_coefficients(j):
-    # every "certified: yes" trusts these transcribed rationals
+    # every "certified: yes" trusts these integers, read as rationals
     derived = hansen_series(j, CANONICAL_ORDER[j])
-    assert {k: c for k, c in enumerate(derived) if c} == _SERIES[j]
+    assert {k: c for k, c in enumerate(derived) if c} == SERIES_COEFFS[j]
 
 
 @pytest.mark.parametrize("j", [2, 3])
@@ -310,6 +309,15 @@ def test_alpha_series_matches_fraction_reference(j):
     assert len(BUNDLED_E) == 24
     edge = [0.0, -0.0, 5e-324, math.nextafter(canonical_disk(j), 0.0)]
     for e in BUNDLED_E + edge:
+        assert _same_double(alpha_series(j, e), alpha_series_reference(j, e)), e
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_alpha_series_matches_fraction_reference_across_the_disk(j):
+    rng = random.Random(j)
+    disk = canonical_disk(j)
+    points = [rng.uniform(0.0, disk) for _ in range(10_000)]
+    for e in points + [0.0, math.nextafter(disk, 0.0)]:
         assert _same_double(alpha_series(j, e), alpha_series_reference(j, e)), e
 
 

@@ -458,10 +458,15 @@ def _project_reference(samples, order):
 
 def _solve_range_reference(xi, params, order, tol, ws, max_iter):
     eps_hat, eta_hat = params.eps_hat, params.eta_hat
+
+    def neg_fx_samples(u_samples):
+        x = xi + ws.pt + u_samples
+        return np.sin(2.0 * x - ws.two_f) * ws.neg_inv_rho3
+
     u = zero(order)
     u_samples = np.zeros(ws.n)
     for _ in range(max_iter):
-        rhs, _ = _project_reference(ws.neg_fx_samples(xi, u_samples), order)
+        rhs, _ = _project_reference(neg_fx_samples(u_samples), order)
         new_u = scaled(green_apply(rhs, eta_hat), eps_hat)
         new_samples = new_u.samples(ws.n)
         increment = float(np.max(np.abs(new_samples - u_samples)))
@@ -470,7 +475,7 @@ def _solve_range_reference(xi, params, order, tol, ws, max_iter):
             break
     else:
         raise SolverError("fixed-point iteration cap reached")
-    return u, -float(math.fsum(ws.neg_fx_samples(xi, u_samples)) / ws.n)
+    return u, -float(math.fsum(neg_fx_samples(u_samples)) / ws.n)
 
 
 def _phase_reference(params, N, tol_fixed_point=1e-12):
@@ -713,6 +718,23 @@ def test_solve_refuses_unresolved_spectrum(monkeypatch):
     monkeypatch.setattr(solver, "_COLLOCATION_MIN", 8)
     with pytest.raises(SolverError, match="unresolved collocation spectrum"):
         solve_bifurcation(mercury_params(), N=2)
+
+
+@pytest.mark.parametrize("N", [0, -1, 1.5, 64.0, "64"])
+def test_solves_refuse_a_truncation_order_that_is_not_a_positive_integer(N, monkeypatch):
+    def no_workspace(*args):
+        raise AssertionError("allocated a workspace")
+
+    monkeypatch.setattr(solver, "_Workspace", no_workspace)
+    for solve in (lambda: solve_range(0.1, moon_params(), N=N),
+                  lambda: solve_bifurcation(moon_params(), N=N)):
+        with pytest.raises(ValueError, match=r"truncation order N must be an integer >= 1, got "):
+            solve()
+
+
+def test_solves_accept_numpy_integer_orders():
+    a, b = (solve_range(0.1, moon_params(), N=N) for N in (np.int64(64), 64))
+    assert a.phi == b.phi and np.array_equal(a.u.coefficients, b.u.coefficients)
 
 
 def test_scan_points_accepts_only_zero():
