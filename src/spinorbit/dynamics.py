@@ -106,7 +106,7 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     xs, vs = np.empty(n + 1), np.empty(n + 1)
     x_out, v_out = memoryview(xs), memoryview(vs)
 
-    eta, nu, eps = params.eta, params.nu, params.eps
+    neg_eta, nu, eps = -params.eta, params.nu, params.eps
     sin, isfinite = math.sin, math.isfinite
     hh, h6 = 0.5 * h, h / 6.0
     x, v = float(initial.x), float(initial.v)
@@ -116,13 +116,13 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     for k, f0, r0, f1, r1, f2, r2 in zip(range(1, n + 1), two_f[0::2], inv_rho3[0::2],
                                          two_f[1::2], inv_rho3[1::2],
                                          two_f[2::2], inv_rho3[2::2]):
-        k1v = -eta * (v - nu) - eps * sin(2.0 * x - f0) * r0
+        k1v = neg_eta * (v - nu) - eps * sin(2.0 * x - f0) * r0
         k2x = v + hh * k1v
-        k2v = -eta * (k2x - nu) - eps * sin(2.0 * (x + hh * v) - f1) * r1
+        k2v = neg_eta * (k2x - nu) - eps * sin(2.0 * (x + hh * v) - f1) * r1
         k3x = v + hh * k2v
-        k3v = -eta * (k3x - nu) - eps * sin(2.0 * (x + hh * k2x) - f1) * r1
+        k3v = neg_eta * (k3x - nu) - eps * sin(2.0 * (x + hh * k2x) - f1) * r1
         k4x = v + h * k3v
-        k4v = -eta * (k4x - nu) - eps * sin(2.0 * (x + h * k3x) - f2) * r2
+        k4v = neg_eta * (k4x - nu) - eps * sin(2.0 * (x + h * k3x) - f2) * r2
         x += h6 * (v + 2.0 * k2x + 2.0 * k3x + k4x)
         v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (isfinite(x) and isfinite(v)):
@@ -140,13 +140,18 @@ def check_resonance(trajectory_or_orbit, p: int, q: int) -> float:
     constructed orbit exposing ``x_of``.  A constructed orbit meets the
     identity by construction, so for one this measures only round-off; that
     branch is kept because the orbit-scan benchmark workload calls it.
+    A q below 1 is a ValueError.
     """
+    if q < 1:
+        raise ValueError(f"resonance q must be >= 1, got q={q!r}")
     period = 2.0 * math.pi * q
     shift = 2.0 * math.pi * p
     if hasattr(trajectory_or_orbit, "x_of"):
         orbit = trajectory_or_orbit
         s = np.linspace(0.0, period, 512, endpoint=False)
-        return float(np.max(np.abs(orbit.x_of(s + period) - orbit.x_of(s) - shift)))
+        # one Horner pass over both shifts; it works point by point
+        x = orbit.x_of(np.concatenate((s + period, s)))
+        return float(np.abs(x[:512] - x[512:] - shift).max())
     traj = trajectory_or_orbit
     if len(traj) < 2:
         raise DynamicsError("trajectory too short")
@@ -175,9 +180,10 @@ def orbit_residual(orbit) -> float:
     params = orbit.params
     n = max(512, 2 * orbit.u.order + 2)
     t = 2.0 * np.pi * np.arange(n) / n
-    u_t = orbit.u.samples(n)
-    du = orbit.u.derivative(1).samples(n)
-    ddu = orbit.u.derivative(2).samples(n)
+    # u, u' and u'' in one inverse FFT, scaled as PeriodicFunction.samples
+    c = orbit.u.coefficients
+    ik = 1j * np.arange(len(c))
+    u_t, du, ddu = np.fft.irfft(np.stack((c, c * ik, c * ik**2)) * n, n)
     forcing = potential_fx(params.e, orbit.xi_star + params.p * t + u_t, params.q * t)
     residual = ddu + params.eta_hat * (du - params.nu_hat) + params.eps_hat * forcing
     return float(np.max(np.abs(residual)))

@@ -55,13 +55,28 @@ def eccentric_anomaly(e, t):
     finite = np.isfinite(ts)
     if not finite.all():
         raise ValueError(f"mean anomaly t must be finite, got {ts[~finite][0]}")
-    # Newton from u0 = t + e sin(t); quadratic once near the root.
-    u = ts + e * np.sin(ts)
+    if not ts.size:
+        return np.empty(np.shape(t))
+    # Newton from u0 = t + e sin(t); quadratic once near the root.  The
+    # iterate is updated in place on two work arrays, g and w.
+    u = np.sin(ts)
+    u *= e
+    u += ts
+    g, w = np.empty_like(u), np.empty_like(u)
     for _ in range(_NEWTON_CAP):
-        g = u - e * np.sin(u) - ts
-        if np.max(np.abs(g)) <= _TOL:
+        # g = u - e sin(u) - t
+        np.sin(u, out=g)
+        g *= e
+        np.subtract(u, g, out=g)
+        g -= ts
+        if np.abs(g, out=w).max() <= _TOL:
             break
-        u = u - g / (1.0 - e * np.cos(u))
+        # u -= g / (1 - e cos(u))
+        np.cos(u, out=w)
+        w *= e
+        np.subtract(1.0, w, out=w)
+        np.divide(g, w, out=w)
+        u -= w
     else:
         # Stagnation (possible only for e near 1): bisection on the bracket
         # [t - e, t + e], where g is respectively <= 0 and >= 0.

@@ -191,14 +191,21 @@ class ResonantOrbit:
         return float(self.x_of(0.0)), float(self.xdot_of(0.0))
 
     def to_dict(self, n_samples: int = 256) -> dict:
-        s = 2.0 * np.pi * self.params.q * np.arange(n_samples) / n_samples
+        p, q = self.params.p, self.params.q
+        s = 2.0 * np.pi * q * np.arange(n_samples) / n_samples
+        # x_of(s) with u read off the inverse FFT on stride * n_samples nodes,
+        # the least multiple of n_samples >= 2N + 2: within 1 ulp of Horner;
+        # n_samples < 1 gives no samples
+        n = max(n_samples, 1)
+        stride = -(-(2 * self.u.order + 2) // n)
+        x = p / q * s + self.xi_star + self.u.samples(stride * n)[::stride][: len(s)]
         return {
             **{f.name: getattr(self.params, f.name) for f in fields(self.params)},
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
             "u_coefficients": self.u.coefficients.view(float).reshape(-1, 2).tolist(),
             "t": s.tolist(),
-            "x": np.asarray(self.x_of(s), dtype=float).tolist(),
+            "x": x.tolist(),
         }
 
     def to_json(self, n_samples: int = 256) -> str:
@@ -227,6 +234,16 @@ def _order(params: ResonanceParams, N) -> int:
     return N
 
 
+def _neg_fx(x, ws):
+    """-V_x at the nodes, sin(2 x - 2 f) / rho^3 negated, written over the
+    angle array x = (xi + pt) + u."""
+    x *= 2.0
+    x -= ws.two_f
+    np.sin(x, out=x)
+    x *= ws.neg_inv_rho3
+    return x
+
+
 def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     """Fixed point u(.; xi) of the contraction at the phase xi, and phi(xi).
 
@@ -237,15 +254,16 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     samples = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     steps = []
     xi_pt = xi + ws.pt
+    arg, d = np.empty(ws.n), np.empty(ws.n)
     for _ in range(_RANGE_ITERATION_CAP):
-        # -V_x at the nodes, sin(2 x - 2 f) / rho^3 negated, on x = (xi + pt) + u
-        spectrum = np.fft.rfft(np.sin(2.0 * (xi_pt + samples) - ws.two_f) * ws.neg_inv_rho3) / ws.n
+        spectrum = np.fft.rfft(_neg_fx(np.add(xi_pt, samples, out=arg), ws), norm="forward")
         mean = spectrum[0].real
         c = spectrum[: ws.order + 1]
         c[0] = 0.0
         c = (c * ws.multiplier) * ws.eps_hat
         new = _synthesize(c, ws.n)
-        steps.append(float(np.max(np.abs(new - samples))))
+        np.subtract(new, samples, out=d)
+        steps.append(float(np.abs(d, out=d).max()))
         samples = new
         if steps[-1] <= _TOL_FIXED_POINT:
             break
@@ -256,8 +274,7 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     _check_spectrum(spectrum, mean)
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    neg_fx = np.sin(2.0 * (xi_pt + samples) - ws.two_f) * ws.neg_inv_rho3
-    phi = -(math.fsum(neg_fx.tolist()) / ws.n)
+    phi = -(math.fsum(_neg_fx(np.add(xi_pt, samples, out=arg), ws).tolist()) / ws.n)
     return RangeSolution(xi=xi, u=PeriodicFunction(c), increments=tuple(steps), phi=phi)
 
 

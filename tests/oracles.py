@@ -1,4 +1,5 @@
-"""Test references the package does not ship: the Kepler solve at complex e,
+"""Test references the package does not ship: the Kepler solve at complex e
+and the real Newton solve with one array per operation,
 alpha_j on the mean-anomaly grid, the eccentric-anomaly integrand rebuilt
 in one expression per call and its trapezoid on one grid of n nodes, the
 truncated series in ``Fraction`` arithmetic and its coefficients derived
@@ -21,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
-from spinorbit.kepler import (_ITERATION_CAP, AnomalyTriple, KeplerError, anomalies,
-                              eccentric_anomaly)
+from spinorbit.kepler import (_ITERATION_CAP, _NEWTON_CAP, _TOL, AnomalyTriple, KeplerError,
+                              _bisect_kepler, anomalies, eccentric_anomaly)
 from spinorbit.potential import FLOAT_SLACK, QuadratureError, potential_fx
 from spinorbit.series import _SERIES, CANONICAL_ORDER
 from spinorbit.solver import PeriodicFunction, _check_spectrum, _green_multiplier
@@ -57,6 +58,24 @@ def complex_eccentric_anomaly(e, t, tol: float = 1e-13):
         f"contraction did not converge for e={e} (|e| too close to the "
         f"boundary of its analyticity disk)"
     )
+
+
+def eccentric_anomaly_reference(e, t):
+    """The Newton solve of ``kepler.eccentric_anomaly`` with a fresh array
+    for every operation; the package's in-place loop must match it bit for bit."""
+    e = float(e)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    u = ts + e * np.sin(ts)
+    for _ in range(_NEWTON_CAP):
+        g = u - e * np.sin(u) - ts
+        if np.max(np.abs(g)) <= _TOL:
+            break
+        u = u - g / (1.0 - e * np.cos(u))
+    else:
+        g = u - e * np.sin(u) - ts
+        for idx in np.flatnonzero(np.abs(g) > _TOL):
+            u[idx] = _bisect_kepler(e, ts[idx])
+    return float(u[0]) if np.ndim(t) == 0 else u.reshape(np.shape(t))
 
 
 def complex_anomalies(e, t, tol: float = 1e-13) -> AnomalyTriple:

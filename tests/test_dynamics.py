@@ -157,6 +157,16 @@ def test_check_resonance_span_and_alignment_errors():
         check_resonance(misaligned, 1, 1)
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_check_resonance_refuses_q_below_one(q):
+    params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)
+    traj = integrate(SpinState(0.4, 1.0, 0.0), 2.0 * TWO_PI, params)
+    orbit = ResonantOrbit(params=params, xi_star=0.3, u=zero(8), bifurcation_residual=0.0)
+    for checked in (traj, orbit):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            check_resonance(checked, 1, q)
+
+
 def test_orbit_reconstruction_residual_is_zero_by_construction():
     moon = bundled_catalog("moons")[0]
     orbit = solve_bifurcation(ResonanceParams.from_body(moon))

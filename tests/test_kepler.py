@@ -11,8 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import CRITICAL_ECC, complex_anomalies, complex_eccentric_anomaly
-from spinorbit import kepler
+from oracles import (CRITICAL_ECC, complex_anomalies, complex_eccentric_anomaly,
+                     eccentric_anomaly_reference)
+from spinorbit import kepler, solver
+from spinorbit.catalog import bundled_catalog
+from spinorbit.certification import certify
+from spinorbit.dynamics import DEFAULT_STEP
 from spinorbit.kepler import (
     KeplerError,
     anomalies,
@@ -110,6 +114,34 @@ def test_bisection_fallback_meets_the_tolerance(monkeypatch):
     u = eccentric_anomaly(0.999, t)
     assert calls
     assert np.max(np.abs(u - 0.999 * np.sin(u) - t)) <= 1e-13
+
+
+def _grids(body):
+    """The solver's collocation grid and the RK4 half grid of one resonance period."""
+    n = max(4 * solver._MODES[body.q], solver._COLLOCATION_MIN)
+    collocation = body.q * (2.0 * np.pi * np.arange(n) / n)
+    span = 2.0 * math.pi * body.q
+    steps = round(span / DEFAULT_STEP)
+    return collocation, 0.0 + 0.5 * (span / steps) * np.arange(2 * steps + 1)
+
+
+@pytest.mark.parametrize("body", [b for b in bundled_catalog("all") + bundled_catalog("minor")
+                                  if certify(b).certified], ids=lambda b: b.name)
+def test_newton_solve_bit_identical_to_array_per_operation_reference(body):
+    for t in _grids(body):
+        assert np.array_equal(eccentric_anomaly(body.e, t), eccentric_anomaly_reference(body.e, t))
+
+
+def test_bisection_fallback_bit_identical_to_reference():
+    t = np.linspace(0.0, 0.05, 2001)
+    assert np.array_equal(eccentric_anomaly(0.999, t), eccentric_anomaly_reference(0.999, t))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_empty_mean_anomaly_gives_empty_arrays(shape):
+    assert eccentric_anomaly(0.3, np.array([])).shape == (0,)
+    for values in (eccentric_anomaly(0.3, np.empty(shape)), *anomalies(0.3, np.empty(shape))):
+        assert values.shape == shape
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, 1.0, -math.inf])])

@@ -465,21 +465,23 @@ def _solve_range_reference(xi, params, order, tol, ws, max_iter):
 
     u = zero(order)
     u_samples = np.zeros(ws.n)
+    increments = []
     for _ in range(max_iter):
         rhs, _ = _project_reference(neg_fx_samples(u_samples), order)
         new_u = scaled(green_apply(rhs, eta_hat), eps_hat)
-        new_samples = new_u.samples(ws.n)
-        increment = float(np.max(np.abs(new_samples - u_samples)))
+        # the synthesis written out, so the kernel's own _synthesize is checked
+        new_samples = np.fft.irfft(new_u.coefficients * ws.n, ws.n)
+        increments.append(float(np.max(np.abs(new_samples - u_samples))))
         u, u_samples = new_u, new_samples
-        if increment <= tol:
+        if increments[-1] <= tol:
             break
     else:
         raise SolverError("fixed-point iteration cap reached")
-    return u, -float(math.fsum(neg_fx_samples(u_samples)) / ws.n)
+    return u, -float(math.fsum(neg_fx_samples(u_samples)) / ws.n), tuple(increments)
 
 
 def _phase_reference(params, N, tol_fixed_point=1e-12):
-    """Cached per-phase solve xi -> (u, phi(xi)), and the workspace."""
+    """Cached per-phase solve xi -> (u, phi(xi), increments), and the workspace."""
     ws = solver._Workspace(params, N)
     cache = {}
 
@@ -546,7 +548,7 @@ def test_phase_solves_match_per_phase_reference(monkeypatch):
             assert math.pi / 4.0 <= orbit.xi_star <= 3.0 * math.pi / 4.0, case
             assert orbit.bifurcation_residual <= 1e-10, case
             # the orbit is the per-phase solve at that root
-            u, phi = solve(orbit.xi_star)
+            u, phi, _ = solve(orbit.xi_star)
             assert np.array_equal(orbit.u.coefficients, u.coefficients), case
             assert orbit.bifurcation_residual == abs(phi - target), case
             # the time average of x(q t) - p t is the root itself
@@ -554,6 +556,25 @@ def test_phase_solves_match_per_phase_reference(monkeypatch):
             # every phase solved lies in the bracket and gives the same phi
             assert all(math.pi / 4.0 <= r.xi <= 3.0 * math.pi / 4.0 for r in solves), case
             assert all(r.phi == solve(r.xi)[1] for r in solves), case
+            assert all(r.increments == solve(r.xi)[2] for r in solves), case
+
+
+@pytest.mark.parametrize("N", [96, 200])
+def test_phase_solves_match_reference_off_power_of_two_grids(N, monkeypatch):
+    # 4N = 384 or 800 collocation nodes, on which scaling the spectrum by n
+    # before or after the inverse FFT is not exact
+    solves = _record_phase_solves(monkeypatch)
+    for body in _certified_bodies():
+        if body.name not in ("Mimas", "Mercury"):
+            continue
+        params = ResonanceParams.from_body(body, eta=0.5 * certify(body).eta_admissible)
+        solves.clear()
+        solve_bifurcation(params, N=N)
+        solve, _ = _phase_reference(params, N)
+        for r in solves:
+            u, phi, increments = solve(r.xi)
+            assert np.array_equal(r.u.coefficients, u.coefficients), (body.name, r.xi)
+            assert (r.phi, r.increments) == (phi, increments), (body.name, r.xi)
 
 
 def test_root_search_makes_few_kernel_calls(monkeypatch):
@@ -743,6 +764,22 @@ def test_scan_points_accepts_only_zero():
     for scan_points in (64, 1):
         with pytest.raises(ValueError, match="scan_points"):
             solve_bifurcation(moon_params(), scan_points=scan_points)
+
+
+@pytest.mark.parametrize("params", [moon_params(eta=0.004), mercury_params(eta=0.001)],
+                         ids=["Moon", "Mercury"])
+def test_exported_samples_are_within_one_ulp_of_x_of(params):
+    orbit = solve_bifurcation(params)
+    assert orbit.u.order == {1: 64, 2: 128}[params.q]
+    for n in (1, 2, 3, 8, 255, 256, 257, 1000):
+        payload = orbit.to_dict(n)
+        assert len(payload["t"]) == len(payload["x"]) == n
+        reference = orbit.x_of(np.array(payload["t"]))
+        gap = np.abs(np.array(payload["x"]) - reference)
+        assert np.all(gap <= np.spacing(np.abs(reference))), n
+    for n in (0, -1):
+        payload = orbit.to_dict(n)
+        assert payload["t"] == [] and payload["x"] == []
 
 
 def test_solve_range_iteration_cap(monkeypatch):
