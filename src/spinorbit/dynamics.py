@@ -113,21 +113,24 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     x_out[0], v_out[0] = x, v
     # the step to sample k reads the half grid at 2k - 2 (start), 2k - 1
     # (midpoint) and 2k (end)
-    for k, f0, r0, f1, r1, f2, r2 in zip(range(1, n + 1), two_f[0::2], inv_rho3[0::2],
-                                         two_f[1::2], inv_rho3[1::2],
-                                         two_f[2::2], inv_rho3[2::2]):
-        k1v = neg_eta * (v - nu) - eps * sin(2.0 * x - f0) * r0
-        k2x = v + hh * k1v
-        k2v = neg_eta * (k2x - nu) - eps * sin(2.0 * (x + hh * v) - f1) * r1
-        k3x = v + hh * k2v
-        k3v = neg_eta * (k3x - nu) - eps * sin(2.0 * (x + hh * k2x) - f1) * r1
-        k4x = v + h * k3v
-        k4v = neg_eta * (k4x - nu) - eps * sin(2.0 * (x + h * k3x) - f2) * r2
-        x += h6 * (v + 2.0 * k2x + 2.0 * k3x + k4x)
-        v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (isfinite(x) and isfinite(v)):
-            raise DynamicsError(f"non-finite state at t={initial.t + h * k}")
-        x_out[k], v_out[k] = x, v
+    try:
+        for k, f0, r0, f1, r1, f2, r2 in zip(range(1, n + 1), two_f[0::2], inv_rho3[0::2],
+                                             two_f[1::2], inv_rho3[1::2],
+                                             two_f[2::2], inv_rho3[2::2]):
+            k1v = neg_eta * (v - nu) - eps * sin(2.0 * x - f0) * r0
+            k2x = v + hh * k1v
+            k2v = neg_eta * (k2x - nu) - eps * sin(2.0 * (x + hh * v) - f1) * r1
+            k3x = v + hh * k2v
+            k3v = neg_eta * (k3x - nu) - eps * sin(2.0 * (x + hh * k2x) - f1) * r1
+            k4x = v + h * k3v
+            k4v = neg_eta * (k4x - nu) - eps * sin(2.0 * (x + h * k3x) - f2) * r2
+            x += h6 * (v + 2.0 * k2x + 2.0 * k3x + k4x)
+            v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (isfinite(x) and isfinite(v)):
+                raise DynamicsError(f"non-finite state at t={initial.t + h * k}")
+            x_out[k], v_out[k] = x, v
+    except ValueError:  # math.sin of an infinite 2x, x itself still finite
+        raise DynamicsError(f"non-finite state at t={initial.t + h * k}") from None
     ts = initial.t + h * np.arange(n + 1)
     return Trajectory(t=ts, x=xs, v=vs)
 

@@ -73,8 +73,8 @@ def _alpha_integrand(e, j, n):
     # is exact for n a power of two, so each is rounded once, relative to |u|.
     u = 2.0 * np.pi / n * np.arange(-n // 2, n // 2)
     s = math.sqrt((1.0 + e) / (1.0 - e))
-    a = s * np.sin(0.5 * u)
-    b = np.cos(0.5 * u)
+    half = 0.5 * u
+    a, b = s * np.sin(half), np.cos(half)
     a2, b2 = a * a, b * b
     p = a2 * a2 - 6.0 * a2 * b2 + b2 * b2
     q = 4.0 * a * b * (a2 - b2)
@@ -83,11 +83,14 @@ def _alpha_integrand(e, j, n):
     return (p * np.cos(phase) - q * np.sin(phase)) / (rho**2 * (a2 + b2) ** 2)
 
 
-_STRIP_FRACTIONS = np.r_[np.arange(1, 32) / 32.0, 1.0 - 2.0 ** (-np.arange(11, 41) / 2.0)]
+_STRIP_FRACTIONS = tuple(sorted([k / 32.0 for k in range(1, 32)]
+                                + [1.0 - 2.0 ** (-k / 2.0) for k in range(11, 41)],
+                                key=lambda f: abs(f - 0.5)))
 
 
-def _log_truncation_bound(e, j, n):
-    """log T(e, j, n), where T bounds |alpha_j - the exact n-node trapezoid|.
+def _proven_grid(e, j, n_quad, log_budget):
+    """The smallest power of two n >= 64 with log T(e, j, n) <= log_budget, or
+    some n >= 2 n_quad, where T bounds |alpha_j - the exact n-node trapezoid|.
 
     The integrand, g = (1-e)^2 [(A+iB)^4 e^{ijm} + (A-iB)^4 e^{-ijm}] / (2 rho^4)
     as (A^2+B^2)^2 = rho^2/(1-e)^2, is 2 pi-periodic and analytic on
@@ -97,14 +100,24 @@ def _log_truncation_bound(e, j, n):
     so |g| <= M(y) = 16 cosh^4(y/2) e^{|j|(y + e sinh y)} / (1 - e cosh y)^4.
     As alpha_j = -mean(g)/2, Thm. 3.2 of L. N. Trefethen and J. A. C.
     Weideman, SIAM Review 56 (2014) 385, gives T <= M(y)/(e^{yn} - 1) for
-    each such y; this takes the least over y = arccosh(1/e) (at most 64)
-    times _STRIP_FRACTIONS: even steps, then geometric toward the pole.
+    each such y on its own, and it falls as n grows: n is the least over
+    the widths of the first n that each proves, and 64 ends the search.
+    The widths are y = arccosh(1/e) (at most 64) times _STRIP_FRACTIONS:
+    even steps, then geometric toward the pole, tried from the middle out.
     """
-    y = _STRIP_FRACTIONS * (math.acosh(1.0 / e) if e * math.cosh(64.0) > 1.0 else 64.0)
-    ny = n * y
-    return float(np.min(math.log(16.0) + abs(j) * (y + e * np.sinh(y))
-                        + 4.0 * np.log(np.cosh(0.5 * y) / (1.0 - e * np.cosh(y)))
-                        - ny - np.log(-np.expm1(-ny))))
+    pole = math.acosh(1.0 / e) if e * math.cosh(64.0) > 1.0 else 64.0
+    best = 2 * n_quad
+    for fraction in _STRIP_FRACTIONS:
+        y = fraction * pole
+        log_m = (math.log(16.0) + abs(j) * (y + e * math.sinh(y))
+                 + 4.0 * math.log(math.cosh(0.5 * y) / (1.0 - e * math.cosh(y))))
+        n = 64
+        while n < best and log_m - n * y - math.log(-math.expm1(-n * y)) > log_budget:
+            n *= 2
+        if n == 64:
+            return n
+        best = n
+    return best
 
 
 def _rounding_bound(e, j):
@@ -139,7 +152,7 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
 
     The grid, chosen before any node is evaluated, is the smallest power of
     two n in [64, n_quad] with T(e, j, n) + R(e, j) <= FLOAT_SLACK (T from
-    ``_log_truncation_bound``, R from ``_rounding_bound``; both grow with |j|).
+    ``_proven_grid``, R from ``_rounding_bound``; both grow with |j|).
 
     Args:
         e: real eccentricity in [0, 1), evaluated as a Python float.
@@ -165,12 +178,10 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
         raise QuadratureError(f"alpha_{j}({e}): the sum's rounding bound {rounding:.3e} "
                               f"exceeds {FLOAT_SLACK:g}: the quadrature has reached the "
                               "round-off floor", at_floor=True)
-    n, log_budget = 64, math.log(FLOAT_SLACK - rounding)
-    while _log_truncation_bound(e, j, n) > log_budget:
-        n *= 2
-        if n > n_quad:
-            raise QuadratureError(f"alpha_{j}({e}): the error bound exceeds "
-                                  f"{FLOAT_SLACK:g} on every grid; n_quad={n_quad} too small")
+    n = _proven_grid(e, j, n_quad, math.log(FLOAT_SLACK - rounding))
+    if n > n_quad:
+        raise QuadratureError(f"alpha_{j}({e}): the error bound exceeds "
+                              f"{FLOAT_SLACK:g} on every grid; n_quad={n_quad} too small")
     # periodic trapezoid = plain node average; fsum rounds the sum once, so
     # it does not depend on the order of its terms
     return -0.5 * math.fsum(_alpha_integrand(e, j, n).tolist()) / n

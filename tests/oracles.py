@@ -2,6 +2,8 @@
 and the real Newton solve with one array per operation,
 alpha_j on the mean-anomaly grid, the eccentric-anomaly integrand rebuilt
 in one expression per call and its trapezoid on one grid of n nodes, the
+quadrature's truncation bound as a numpy minimum over the strip widths and
+its rounding bound restated term by term from its derivation, the
 truncated series in ``Fraction`` arithmetic and its coefficients derived
 from the Hansen integral, V_xx and the sup bounds on V_x and V_xx, the
 right-hand side of the spin equation at one state, the RK4 loop on numpy
@@ -210,6 +212,40 @@ def alpha_trapezoid_reference(e, j, n_quad):
     """The n_quad-node trapezoid of the reference integrand, by fsum over
     numpy scalars."""
     return -0.5 * math.fsum(alpha_integrand_reference(e, j, n_quad)) / n_quad
+
+
+# the strip widths of ``potential``, as fractions of arccosh(1/e) (at most 64)
+STRIP_FRACTIONS = np.r_[np.arange(1, 32) / 32.0, 1.0 - 2.0 ** (-np.arange(11, 41) / 2.0)]
+
+
+def log_truncation_bound_reference(e, j, n):
+    """log T(e, j, n), T = min over the strip widths y of M(y)/(e^{yn} - 1), with
+    M(y) = 16 cosh^4(y/2) e^{|j|(y + e sinh y)} / (1 - e cosh y)^4, every width
+    at once in numpy: the bound ``potential._proven_grid`` proves one width at
+    a time, stopping at the first that meets its budget."""
+    y = STRIP_FRACTIONS * (math.acosh(1.0 / e) if e * math.cosh(64.0) > 1.0 else 64.0)
+    ny = n * y
+    return float(np.min(math.log(16.0) + abs(j) * (y + e * np.sinh(y))
+                        + 4.0 * np.log(np.cosh(0.5 * y) / (1.0 - e * np.cosh(y)))
+                        - ny - np.log(-np.expm1(-ny))))
+
+
+def rounding_bound_reference(e, j):
+    """R(e, j) restated term by term from the ``potential._rounding_bound``
+    docstring, in units of eps = 2^-53 per node: the coefficients of r^-2,
+    r^-3, |j| r^-2 and |j| r^-1 to first order, halved (alpha_j = -mean/2),
+    fsum's eps I_2/2 added, then rounded up to whole units; each node mean
+    of r^-p taken as I_p, here a 4096-node trapezoid of (1 - e cos u)^-p,
+    not its closed form."""
+    node = 1.36 * math.pi  # fl(u) is 1.36 eps |u| off; |u g'| <= pi (6 sqrt(2) r^-2 + |j| r^-1)
+    r2 = node * 6.0 * math.sqrt(2.0) + 15.0 + 32.0 + 2.0  # node, s a b, P Q ... quotient, rho
+    r3 = 3.0  # rho's 3/r
+    j_r2 = 3.0 + 2.0 * math.pi  # the phase
+    j_r1 = node
+    c2, c3, cj2, cj1 = (math.ceil(c) for c in (r2 / 2 + 0.5, r3 / 2, j_r2 / 2, j_r1 / 2))
+    r = 1.0 - e * np.cos(2.0 * np.pi * np.arange(4096) / 4096)
+    i1, i2, i3 = (math.fsum(r ** -p) / 4096 for p in (1, 2, 3))
+    return 2.0**-53 * (c2 * i2 + c3 * i3 + min(abs(j), 2**53) * (cj2 * i2 + cj1 * i1))
 
 
 # the package's integer series as {power of e: Fraction}, read from its table

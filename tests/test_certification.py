@@ -119,7 +119,12 @@ def test_eta_max_degenerate_cases():
     (ResonanceParams(p=1, q=1, e=0.0549, eps=1e-6, eta=0.008, nu=1.2), "bifurcation",
      r"bifurcation condition fails: eta_hat=0\.008, ceiling \S+ from the certified "
      r"phase-equation half-width \S+"),
-], ids=["green", "range", "nonempty", "eps", "bifurcation"])
+    # (1-e)^3/5 = eps_hat = 0.4 m a = 0.2: both strict margins exactly 0.0
+    (ResonanceParams(p=1, q=1, e=0.0, eps=0.2, eta=0.0, nu=1.0), "range",
+     r"range \(contraction\) condition fails: margin 0 <= 0"),
+    (ResonanceParams(p=1, q=1, e=0.0, eps=0.2, eta=0.0, nu=1.0), "nonempty",
+     r"non-empty \(topological\) condition fails: margin 0 <= 0"),
+], ids=["green", "range", "nonempty", "eps", "bifurcation", "range-zero", "nonempty-zero"])
 def test_every_failure_gives_its_reason(params, name, reason):
     reasons = [r for n, r in conditions(params).failed if n == name]
     assert len(reasons) == 1

@@ -114,6 +114,16 @@ def test_integrate_overflow_is_a_dynamics_error():
         integrate(SpinState(0.0, 1e308, 0.0), TWO_PI, params)
 
 
+@pytest.mark.parametrize("state", [SpinState(0.0, 1.5e307, 0.0), SpinState(0.0, 2e307, 0.0),
+                                   SpinState(0.0, 2.8e307, 0.0), SpinState(1e308, 1.0, 0.0)],
+                         ids=["v0=1.5e307", "v0=2e307", "v0=2.8e307", "x0=1e308"])
+def test_integrate_overflow_of_2x_is_a_dynamics_error(state):
+    # x stays finite while 2x overflows, and math.sin(inf) raises ValueError
+    params = ResonanceParams.from_body(bundled_catalog("moons")[0])
+    with pytest.raises(DynamicsError, match=r"^non-finite state at t="):
+        integrate(state, TWO_PI, params)
+
+
 CERTIFIED = [b for b in bundled_catalog("all") + bundled_catalog("minor") if certify(b).certified]
 
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (SERIES_COEFFS, alpha_series_reference, alpha_trapezoid_reference,
-                     fourier_coefficient_exponential, fxx_sup_bound, hansen_series,
-                     potential_fxx, tidal_kernel)
+from oracles import (SERIES_COEFFS, STRIP_FRACTIONS, alpha_series_reference,
+                     alpha_trapezoid_reference, fourier_coefficient_exponential, fxx_sup_bound,
+                     hansen_series, log_truncation_bound_reference, potential_fxx,
+                     rounding_bound_reference, tidal_kernel)
 from spinorbit import potential
 from spinorbit.catalog import bundled_catalog
 from spinorbit.potential import QuadratureError, fourier_coefficient, potential_fx
@@ -123,15 +124,69 @@ def test_fourier_evaluates_any_real_e_in_double_precision():
 
 
 def _chosen_grid(e, j, n_quad):
-    """The rule of ``fourier_coefficient``, restated: the smallest power of
-    two n in [64, n_quad] with T(e, j, n) + R(e, j) <= FLOAT_SLACK, or None."""
+    """The rule of ``fourier_coefficient``, restated on the reference bound:
+    the smallest power of two n in [64, n_quad] with
+    log T(e, j, n) <= log(FLOAT_SLACK - R(e, j)), or None."""
     rounding = potential._rounding_bound(e, j)
+    if not rounding < potential.FLOAT_SLACK:
+        return None
+    log_budget = math.log(potential.FLOAT_SLACK - rounding)
     n = 64
     while n <= n_quad:
-        if math.exp(potential._log_truncation_bound(e, j, n)) + rounding <= potential.FLOAT_SLACK:
+        if log_truncation_bound_reference(e, j, n) <= log_budget:
             return n
         n *= 2
     return None
+
+
+def test_grid_proof_picks_the_reference_grid(monkeypatch):
+    # some strip width proves n exactly when the least over the widths does,
+    # so stopping at the first width keeps the grid: 5,740 (e, j, n_quad),
+    # e up to the round-off floor, with the integrand stubbed to record n
+    grids = []
+    monkeypatch.setattr(potential, "_alpha_integrand",
+                        lambda e, j, n: grids.append(n) or np.zeros(n))
+    e_values = [*np.linspace(0.0, 0.9966, 78).tolist(), 1e-9, 0.0549, 0.2056, 0.99663]
+    cases = [(e, j, n_quad) for e in e_values
+             for j in [*range(-16, 0), *range(1, 17), 33, 64, 200]
+             for n_quad in (2048, 2**20)]
+    assert len(cases) >= 5000
+    for e, j, n_quad in cases:
+        grids.clear()
+        try:
+            fourier_coefficient(e, j, n_quad)
+        except QuadratureError:
+            pass
+        n = _chosen_grid(e, j, n_quad)
+        assert grids == ([n] if n else []), (e, j, n_quad)
+
+
+@pytest.mark.parametrize("e", [0.0, 1e-9, 0.0549, 0.3, 0.6, 0.9, 0.99, 0.9966])
+def test_grid_proof_flips_at_the_reference_bound(e):
+    # a budget just above the least log T over the widths proves n, one just
+    # below proves no grid up to n.  libm's and numpy's sinh, cosh and log
+    # differ in the last bits, which the cancellation in 1 - e cosh y near
+    # the pole lifts to about 5e-10 at most in log T
+    for j in (1, 2, 4, 16, 64, -3):
+        for n in (64, 256, 2048, 2**16):
+            least = log_truncation_bound_reference(e, j, n)
+            tol = 1e-8 * max(1.0, abs(least))
+            assert potential._proven_grid(e, j, n, least + tol) <= n, (j, n)
+            assert potential._proven_grid(e, j, n, least - tol) > n, (j, n)
+
+
+def test_strip_widths_are_the_reference_widths():
+    assert isinstance(potential._STRIP_FRACTIONS, tuple)
+    assert sorted(potential._STRIP_FRACTIONS) == STRIP_FRACTIONS.tolist()
+
+
+@pytest.mark.parametrize("e", [0.0, 0.0549, 0.2056, 0.5, 0.9, 0.99, 0.9966])
+def test_rounding_bound_is_its_derivation(e):
+    # the closed form and its rounded-up constants, against the docstring's
+    # terms summed afresh with the means I_p taken numerically
+    for j in (1, 2, 3, 64, -7, 10**5):
+        assert potential._rounding_bound(e, j) == pytest.approx(rounding_bound_reference(e, j),
+                                                                rel=1e-13, abs=0.0), j
 
 
 def test_cached_quadrature_matches_reference_in_any_call_order():
@@ -225,7 +280,7 @@ def test_fourier_within_float_slack_of_a_65536_node_reference(e, j, sign):
     assert abs(value - reference) <= potential.FLOAT_SLACK
     # the truncation bound of the chosen grid plus both sums' rounding bounds
     n = _chosen_grid(e, j, REFERENCE_NODES)
-    bound = (math.exp(potential._log_truncation_bound(e, j, n))
+    bound = (math.exp(log_truncation_bound_reference(e, j, n))
              + 2.0 * potential._rounding_bound(e, j))
     assert abs(value - reference) <= bound, (n, bound)
 
@@ -234,7 +289,9 @@ def test_fourier_within_float_slack_of_a_65536_node_reference(e, j, sign):
 def test_both_error_bounds_grow_with_the_harmonic(e, j, n):
     # why ``fourier`` may ask for its top row first
     assert potential._rounding_bound(e, j) < potential._rounding_bound(e, j + 1)
-    assert potential._log_truncation_bound(e, j, n) <= potential._log_truncation_bound(e, -j - 1, n)
+    assert log_truncation_bound_reference(e, j, n) <= log_truncation_bound_reference(e, -j - 1, n)
+    budget = math.log(potential.FLOAT_SLACK)
+    assert potential._proven_grid(e, j, n, budget) <= potential._proven_grid(e, -j - 1, n, budget)
 
 
 def test_numpy_sin_and_cos_within_one_ulp():
