@@ -12,9 +12,9 @@ compared against its reconstruction, and any trajectory can be tested for
 the resonance identity x(t + 2 pi q) = x(t) + 2 pi p.
 
 The integrator is sequential in time, so numpy only precomputes the Kepler
-grid; the step loop itself runs on plain Python floats.  The same scheme
-written on numpy scalars is the test reference in tests/oracles.py, and
-the two agree bit for bit.
+grid and checks the samples afterwards; the step loop itself runs on plain
+Python floats.  The same scheme written on numpy scalars is the test
+reference in tests/oracles.py, and the two agree bit for bit.
 """
 
 import math
@@ -75,9 +75,13 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     The number of steps is rounded so the grid lands exactly on t_end; the
     orbital radius and true anomaly are precomputed on the half-step grid,
     so each stage costs one sine evaluation.  The step loop runs on plain
-    Python floats (numpy scalar arithmetic would cost it 3x); the products
-    keep their left-to-right order, so the samples are bit-identical to the
-    same scheme written on numpy scalars.  Deterministic for fixed inputs.
+    Python floats (numpy scalar arithmetic would cost it 3x) and carries the
+    doubled angle 2x, which is what the sines take; scaling by 2 commutes
+    with rounding, and the products keep their left-to-right order, so the
+    samples are bit-identical to the same scheme written on numpy scalars
+    (in the subnormal range, |x| < 2.2e-308, a last bit can differ).  The loop
+    checks no finiteness: one numpy pass over the samples afterwards finds
+    the first non-finite state.  Deterministic for fixed inputs.
 
     Raises:
         ValueError: a non-finite initial state, t_end or step, a step
@@ -107,30 +111,41 @@ def integrate(initial: SpinState, t_end: float, params: ResonanceParams,
     x_out, v_out = memoryview(xs), memoryview(vs)
 
     neg_eta, nu, eps = -params.eta, params.nu, params.eps
-    sin, isfinite = math.sin, math.isfinite
+    sin = math.sin
     hh, h6 = 0.5 * h, h / 6.0
-    x, v = float(initial.x), float(initial.v)
-    x_out[0], v_out[0] = x, v
+    h2, h3 = 2.0 * h, 2.0 * h6
+    # the loop carries X = 2x: scaling by 2 commutes with rounding, so
+    # X + h v is the float 2 (x + hh v), and so on for each stage and for
+    # the update
+    X, v = 2.0 * float(initial.x), float(initial.v)
+    x_out[0], v_out[0] = X, v
+    stop = n + 1
     # the step to sample k reads the half grid at 2k - 2 (start), 2k - 1
     # (midpoint) and 2k (end)
     try:
         for k, f0, r0, f1, r1, f2, r2 in zip(range(1, n + 1), two_f[0::2], inv_rho3[0::2],
                                              two_f[1::2], inv_rho3[1::2],
                                              two_f[2::2], inv_rho3[2::2]):
-            k1v = neg_eta * (v - nu) - eps * sin(2.0 * x - f0) * r0
+            k1v = neg_eta * (v - nu) - eps * sin(X - f0) * r0
             k2x = v + hh * k1v
-            k2v = neg_eta * (k2x - nu) - eps * sin(2.0 * (x + hh * v) - f1) * r1
+            k2v = neg_eta * (k2x - nu) - eps * sin(X + h * v - f1) * r1
             k3x = v + hh * k2v
-            k3v = neg_eta * (k3x - nu) - eps * sin(2.0 * (x + hh * k2x) - f1) * r1
+            k3v = neg_eta * (k3x - nu) - eps * sin(X + h * k2x - f1) * r1
             k4x = v + h * k3v
-            k4v = neg_eta * (k4x - nu) - eps * sin(2.0 * (x + h * k3x) - f2) * r2
-            x += h6 * (v + 2.0 * k2x + 2.0 * k3x + k4x)
+            k4v = neg_eta * (k4x - nu) - eps * sin(X + h2 * k3x - f2) * r2
+            X += h3 * (v + 2.0 * k2x + 2.0 * k3x + k4x)
             v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (isfinite(x) and isfinite(v)):
-                raise DynamicsError(f"non-finite state at t={initial.t + h * k}")
-            x_out[k], v_out[k] = x, v
-    except ValueError:  # math.sin of an infinite 2x, x itself still finite
-        raise DynamicsError(f"non-finite state at t={initial.t + h * k}") from None
+            x_out[k], v_out[k] = X, v
+    except ValueError:  # math.sin of an infinite angle: step k fails
+        stop = k
+    # a non-finite sample makes every later step non-finite or raise, so the
+    # state first failed at the first non-finite sample, or else at ``stop``
+    finite = np.isfinite(xs[1:stop]) & np.isfinite(vs[1:stop])
+    if not finite.all():
+        stop = 1 + int(finite.argmin())
+    if stop <= n:
+        raise DynamicsError(f"non-finite state at t={initial.t + h * stop}")
+    xs *= 0.5
     ts = initial.t + h * np.arange(n + 1)
     return Trajectory(t=ts, x=xs, v=vs)
 

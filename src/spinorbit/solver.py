@@ -187,8 +187,19 @@ class ResonantOrbit:
         return p / q + self.u.derivative().evaluate(np.asarray(s) / q) / q
 
     def initial_state(self):
-        """(x, xdot) at s = 0, for handing to a direct integrator."""
-        return float(self.x_of(0.0)), float(self.xdot_of(0.0))
+        """(x, xdot) at s = 0, for handing to a direct integrator.
+
+        At s = 0, z = 1 and Horner's rule adds Re c_k, and Re (i k c_k) =
+        -k Im c_k, from k = N down to 1; np.cumsum adds in that order too
+        (np.sum pairs), so this is float(x_of(0.0)), float(xdot_of(0.0))
+        bit for bit.  The trailing c_0 = 0 changes no sum.
+        """
+        p, q = self.params.p, self.params.q
+        c = self.u.coefficients[::-1]
+        k = np.arange(len(c) - 1, -1, -1)
+        x0 = self.xi_star + 2.0 * float(np.cumsum(c.real)[-1])
+        v0 = p / q - 2.0 * float(np.cumsum(k * c.imag)[-1]) / q
+        return x0, v0
 
     def to_dict(self, n_samples: int = 256) -> dict:
         p, q = self.params.p, self.params.q

@@ -142,19 +142,19 @@ def test_moon_row_matches_frozen_table():
     moon = bundled_catalog("moons")[0]
     rep = certify(moon)
     exp = EXPECTED["Moon"]
-    assert rep.alpha_lower == pytest.approx(exp["alpha_lower"], rel=1e-12)
-    assert rep.range_margin == pytest.approx(exp["range_margin"], rel=1e-12)
-    assert rep.nonempty_margin == pytest.approx(exp["nonempty_margin"], rel=1e-12)
-    assert rep.eta_bif_max == pytest.approx(exp["eta_bif_max"], rel=1e-12)
-    assert rep.eta_admissible == pytest.approx(exp["eta_admissible"], rel=1e-12)
+    assert rep.alpha_lower == pytest.approx(exp["alpha_lower"], rel=1e-12, abs=0.0)
+    assert rep.range_margin == pytest.approx(exp["range_margin"], rel=1e-12, abs=0.0)
+    assert rep.nonempty_margin == pytest.approx(exp["nonempty_margin"], rel=1e-12, abs=0.0)
+    assert rep.eta_bif_max == pytest.approx(exp["eta_bif_max"], rel=1e-12, abs=0.0)
+    assert rep.eta_admissible == pytest.approx(exp["eta_admissible"], rel=1e-12, abs=0.0)
 
 
 def test_mercury_row_matches_frozen_table():
     (merc,) = bundled_catalog("mercury")
     rep = certify(merc)
     exp = EXPECTED["Mercury"]
-    assert rep.eta_green_max == pytest.approx(exp["eta_green_max"], rel=1e-12)
-    assert rep.eta_bif_max == pytest.approx(exp["eta_bif_max"], rel=1e-12)
+    assert rep.eta_green_max == pytest.approx(exp["eta_green_max"], rel=1e-12, abs=0.0)
+    assert rep.eta_bif_max == pytest.approx(exp["eta_bif_max"], rel=1e-12, abs=0.0)
     assert rep.certified and rep.eta_admissible >= 0.001
 
 

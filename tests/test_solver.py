@@ -15,6 +15,7 @@ from spinorbit.potential import fourier_coefficient
 from spinorbit.solver import (
     PeriodicFunction,
     PreconditionError,
+    ResonantOrbit,
     SolverError,
     solve_bifurcation,
     solve_range,
@@ -201,6 +202,22 @@ def test_phi_hat_aliasing_guard():
     params = mercury_params()
     with pytest.raises(SolverError, match="unresolved collocation spectrum"):
         phi_hat(0.3, zero(2), params, n_coll=8)
+
+
+@pytest.mark.parametrize("fraction, refused", [(1e-9, False), (1e-6, True)])
+def test_spectrum_check_threshold_on_a_synthetic_spectrum(fraction, refused):
+    # no solve comes near the 1e-8 threshold (its grids of >= 256 nodes leave
+    # top-band fractions below 1e-27), so a synthetic rfft(samples)/n on 256
+    # nodes pins it: unit energy in mode 1, ``fraction`` in mode 87, the first
+    # of the top third of modes 1..128
+    spectrum = np.zeros(129, dtype=complex)
+    spectrum[1] = 1.0
+    spectrum[87] = math.sqrt(fraction)
+    if refused:
+        with pytest.raises(SolverError, match="top-band energy fraction"):
+            solver._check_spectrum(spectrum, 0.0)
+    else:
+        solver._check_spectrum(spectrum, 0.0)
 
 
 # --------------------------------------------------------------- solve_range
@@ -423,6 +440,31 @@ def test_orbit_export_samples_are_python_floats():
     # json's encoder takes Python floats faster than np.float64, byte for byte
     payload = solve_bifurcation(moon_params()).to_dict(n_samples=8)
     assert {type(v) for v in payload["t"] + payload["x"]} == {float}
+
+
+def test_initial_state_is_the_orbit_at_zero():
+    # the closed form adds the modes in Horner's order: x_of and xdot_of at
+    # s = 0 bit for bit on the 63 solves, the 21 certified bodies at eta in
+    # {0, eta_adm/2, eta_adm}, and on a correction with no modes
+    solves = 0
+    for body in bundled_catalog("all") + bundled_catalog("minor"):
+        report = certify(body)
+        if not report.certified:
+            continue
+        for eta in (0.0, 0.5 * report.eta_admissible, report.eta_admissible):
+            orbit = solve_bifurcation(ResonanceParams.from_body(body, eta=eta))
+            expected = (float(orbit.x_of(0.0)), float(orbit.xdot_of(0.0)))
+            assert orbit.initial_state() == expected, (body.name, eta)
+            solves += 1
+    assert solves == 63
+    # modes of mixed sizes, whose sum in another order (np.sum) differs
+    rng = np.random.default_rng(0)
+    coefficients = np.zeros(65, dtype=complex)
+    coefficients[1:] = ((rng.normal(size=64) + 1j * rng.normal(size=64))
+                        * 10.0 ** rng.uniform(-6.0, 0.0, size=64))
+    for u in (PeriodicFunction(coefficients), PeriodicFunction([0.0])):
+        orbit = ResonantOrbit(params=mercury_params(), xi_star=0.7, u=u, bifurcation_residual=0.0)
+        assert orbit.initial_state() == (float(orbit.x_of(0.0)), float(orbit.xdot_of(0.0)))
 
 
 def test_orbit_export_coefficients_are_python_float_pairs():
