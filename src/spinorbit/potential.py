@@ -14,12 +14,18 @@ and the alpha_j control which p:q resonances can be sustained.  This module
 evaluates V_x pointwise (``potential_fx``) and alpha_j by periodic-trapezoid
 quadrature of a real integrand in the eccentric anomaly
 (``fourier_coefficient``) on the fewest nodes that a priori bounds on its
-truncation and rounding prove accurate to FLOAT_SLACK.  The certified series
+truncation and rounding prove accurate to FLOAT_SLACK.  Only cos(j m) and
+sin(j m), m = u - e sin u, depend on the harmonic j: the rest of the
+integrand is built once per (e, n) and kept in one cache entry, four
+read-only arrays on the n nodes (2 KiB at 64 nodes, at most 4 MiB at 2**17,
+the largest grid any accepted call is proven on), which the next harmonic
+at the same e and grid reuses.  The certified series
 route to alpha_2 and alpha_3, with its Cauchy remainder bound, is the
 numpy-free ``series`` module.  A second quadrature route, on the
 mean-anomaly grid, is a test reference in tests/oracles.py.
 """
 
+import functools
 import math
 import numbers
 
@@ -62,7 +68,8 @@ def potential_fx(e, x, t):
     return np.sin(2.0 * np.asarray(x) - 2.0 * f) / rho**3
 
 
-def _alpha_integrand(e, j, n):
+@functools.lru_cache(maxsize=1)
+def _geometry(e, n):
     # Integrate in the eccentric anomaly u (dt = rho du):
     #   alpha_j = -(1/4pi) int_{-pi}^{pi} [P c_j - Q s_j] / (rho^2 (A^2+B^2)^2) du
     # where s = sqrt((1+e)/(1-e)), A = s sin(u/2), B = cos(u/2), P + iQ =
@@ -71,6 +78,9 @@ def _alpha_integrand(e, j, n):
     # singularity at u = pi; _rounding_bound is derived for this code.  The
     # nodes span [-pi, pi), centred where the integrand is steepest: 2 pi/n
     # is exact for n a power of two, so each is rounded once, relative to |u|.
+    # Only c_j and s_j depend on j: this returns (P, Q, m, rho^2 (A^2+B^2)^2)
+    # on the n nodes, read-only because the next harmonic at the same (e, n)
+    # shares them.
     u = 2.0 * np.pi / n * np.arange(-n // 2, n // 2)
     s = math.sqrt((1.0 + e) / (1.0 - e))
     half = 0.5 * u
@@ -79,8 +89,16 @@ def _alpha_integrand(e, j, n):
     p = a2 * a2 - 6.0 * a2 * b2 + b2 * b2
     q = 4.0 * a * b * (a2 - b2)
     rho = 1.0 - e * np.cos(u)
-    phase = j * (u - e * np.sin(u))
-    return (p * np.cos(phase) - q * np.sin(phase)) / (rho**2 * (a2 + b2) ** 2)
+    factors = (p, q, u - e * np.sin(u), rho**2 * (a2 + b2) ** 2)
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
+
+
+def _alpha_integrand(e, j, n):
+    p, q, m, den = _geometry(e, n)
+    phase = j * m
+    return (p * np.cos(phase) - q * np.sin(phase)) / den
 
 
 _STRIP_FRACTIONS = tuple(sorted([k / 32.0 for k in range(1, 32)]
@@ -152,11 +170,14 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
 
     The grid, chosen before any node is evaluated, is the smallest power of
     two n in [64, n_quad] with T(e, j, n) + R(e, j) <= FLOAT_SLACK (T from
-    ``_proven_grid``, R from ``_rounding_bound``; both grow with |j|).
+    ``_proven_grid``, R from ``_rounding_bound``; both grow with |j|).  The
+    j-independent part of the integrand on that grid is cached for the last
+    (e, n) alone, so asking for several j at one e in a row builds it once.
 
     Args:
         e: real eccentricity in [0, 1), evaluated as a Python float.
-        j: nonzero integer harmonic (the expansion has no j = 0 term).
+        j: nonzero integer harmonic, not a bool (the expansion has no
+            j = 0 term).
         n_quad: the most quadrature nodes allowed, even, from 64 to 2**20.
 
     Raises:
@@ -165,7 +186,8 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
             is too small for T + R.
     """
     e = float(e)
-    if not isinstance(j, numbers.Integral):
+    # a bool is a numbers.Integral, but True is no harmonic
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
         raise ValueError(f"harmonic j must be an integer, got j={j}")
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")

@@ -103,7 +103,7 @@ def test_fourier_refuses_more_than_2_pow_20_nodes():
         fourier_coefficient(0.2, 1, n_quad=2**20 + 2)
 
 
-@pytest.mark.parametrize("j", [2.5, 2.0, np.float64(-1.5), math.nan])
+@pytest.mark.parametrize("j", [2.5, 2.0, np.float64(-1.5), math.nan, True, False])
 def test_fourier_refuses_non_integer_harmonic_by_name(j):
     # not a QuadratureError, whose "n_quad too small" asks for nodes that cannot help
     with pytest.raises(ValueError, match=r"harmonic j must be an integer, got j="):
@@ -207,6 +207,17 @@ def test_cached_quadrature_matches_reference_in_any_call_order():
         else:
             assert fourier_coefficient(e, j, n_quad) == alpha_trapezoid_reference(e, j, n), (e, j)
     assert refusals > 0
+    # the one cached geometry at its edges: -0.0 right after 0.0, a numpy
+    # scalar and a 0-d array equal to the cached float, and a 1024-node grid
+    # between 64-node calls, which evicts the entry and refills it
+    assert _chosen_grid(0.9966, 1, 2048) == 1024
+    edges = [(0.0, 2), (-0.0, 2), (0.2056, 3), (np.float64(0.2056), 1), (np.asarray(0.2056), 4),
+             (0.3, 1), (0.9966, 1), (0.3, 2)]
+    for e, j in edges:
+        n = _chosen_grid(float(e), j, 2048)
+        assert fourier_coefficient(e, j) == alpha_trapezoid_reference(float(e), j, n), (e, j)
+    with pytest.raises(ValueError):
+        potential._geometry(0.3, 64)[0][0] = 0.0
 
 
 def test_fourier_doubling_check_flags_coarse_grids():
