@@ -22,7 +22,7 @@ absent, empty or null.  Three transcribed catalogs ship with the package
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 __all__ = [
@@ -60,20 +60,22 @@ def _integer(value):
     return int(value)
 
 
-# The catalog record, in CSV column order: column -> (Body field, parser,
-# value kind named in errors).  K must stay last: it alone may be omitted.
-# str.strip raises TypeError for anything but a str (a JSON null or 5).
+# The catalog record, in CSV column order: column -> (parser, value kind
+# named in errors).  K must stay last: it alone may be omitted.  str.strip
+# raises TypeError for anything but a str (a JSON null or 5).
 _COLUMNS = {
-    "name": ("name", str.strip, "text"),
-    "primary": ("primary", str.strip, "text"),
-    "a_km": ("a_km", _number, "numeric"),
-    "b_km": ("b_km", _number, "numeric"),
-    "c_km": ("c_km", _number, "numeric"),
-    "e": ("e", _number, "numeric"),
-    "p": ("p", _integer, "integer"),
-    "q": ("q", _integer, "integer"),
-    "K": ("rigidity", _number, "numeric"),
+    "name": (str.strip, "text"),
+    "primary": (str.strip, "text"),
+    "a_km": (_number, "numeric"),
+    "b_km": (_number, "numeric"),
+    "c_km": (_number, "numeric"),
+    "e": (_number, "numeric"),
+    "p": (_integer, "integer"),
+    "q": (_integer, "integer"),
+    "K": (_number, "numeric"),
 }
+# the value of a column that a row leaves out
+_ABSENT = object()
 
 
 def oblateness(a_km: float, b_km: float) -> float:
@@ -98,51 +100,59 @@ def nu_of_e(e: float) -> float:
     return n / omega
 
 
-@dataclass(frozen=True)
-class Body:
+# one field per column, in column order; K is stored as ``rigidity``
+_BodyRecord = namedtuple("Body", [c if c != "K" else "rigidity" for c in _COLUMNS],
+                         defaults=(None,))
+
+
+class Body(_BodyRecord):
     """One catalog record: radii in km, eccentricity, resonance p:q.
 
-    ``rigidity`` (CSV/JSON column ``K``) is the internal dissipation
-    constant; stored for documentation, never used by the certification,
-    which constrains the dissipation parameter eta directly.  The polar
-    radius ``c_km`` is likewise informational.
+    An immutable tuple of the catalog's columns, in column order; every
+    way to build one (positional, keyword, ``_make``, ``_replace``, copy,
+    pickle) checks the record.  ``rigidity`` (CSV/JSON column ``K``) is the
+    internal dissipation constant; stored for documentation, never used by
+    the certification, which constrains the dissipation parameter eta
+    directly.  The polar radius ``c_km`` is likewise informational.
     """
 
-    name: str
-    primary: str
-    a_km: float
-    b_km: float
-    c_km: float
-    e: float
-    p: int
-    q: int
-    rigidity: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = _BodyRecord.__new__(cls, *args, **kwargs)
+        name, _, a_km, b_km, _, e, p, q, _ = self
         # a line break or other control character would split a report row
-        if not (isinstance(self.name, str) and self.name and self.name.isprintable()):
-            raise CatalogError(f"body name {self.name!r} must be a non-empty printable string")
+        if not (isinstance(name, str) and name and name.isprintable()):
+            raise CatalogError(f"body name {name!r} must be a non-empty printable string")
         for field in ("a_km", "b_km", "c_km", "e", "rigidity"):
             value = getattr(self, field)
             if value is not None and not math.isfinite(value):
-                raise CatalogError(f"{self.name}: {field}={value} is not finite")
-        if not (self.a_km > 0.0 and self.b_km > 0.0):
-            raise CatalogError(f"{self.name}: radii must be positive")
-        if self.a_km < self.b_km:
+                raise CatalogError(f"{name}: {field}={value} is not finite")
+        if not (a_km > 0.0 and b_km > 0.0):
+            raise CatalogError(f"{name}: radii must be positive")
+        if a_km < b_km:
+            raise CatalogError(f"{name}: max equatorial radius a={a_km} < b={b_km}")
+        if not 0.0 <= e < 1.0:
+            raise CatalogError(f"{name}: eccentricity {e} outside [0, 1)")
+        if p < 1 or q < 1:
+            raise CatalogError(f"{name}: p and q must be >= 1")
+        if math.gcd(p, q) != 1:
+            raise CatalogError(f"{name}: p={p}, q={q} not co-prime")
+        if (p, q) not in SUPPORTED_RESONANCES:
             raise CatalogError(
-                f"{self.name}: max equatorial radius a={self.a_km} < b={self.b_km}"
-            )
-        if not 0.0 <= self.e < 1.0:
-            raise CatalogError(f"{self.name}: eccentricity {self.e} outside [0, 1)")
-        if self.p < 1 or self.q < 1:
-            raise CatalogError(f"{self.name}: p and q must be >= 1")
-        if math.gcd(self.p, self.q) != 1:
-            raise CatalogError(f"{self.name}: p={self.p}, q={self.q} not co-prime")
-        if (self.p, self.q) not in SUPPORTED_RESONANCES:
-            raise CatalogError(
-                f"{self.name}: resonance {self.p}:{self.q} not supported "
+                f"{name}: resonance {p}:{q} not supported "
                 f"(certifiable cases: 1:1 and 3:2)"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and _replace through it, skip __new__
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through __new__
+        return type(self), tuple(self)
 
     @property
     def oblateness(self) -> float:
@@ -153,25 +163,19 @@ class Body:
         return nu_of_e(self.e)
 
 
-@dataclass(frozen=True)
-class ResonanceParams:
+class ResonanceParams(namedtuple("ResonanceParams", "p q e eps eta nu")):
     """Model parameters (p, q, e, eps, eta, nu) for one certification/solve.
 
-    The rescaled parameters of the period-normalized equation are exposed
-    as properties: eta_hat = q eta, nu_hat = q nu - p, eps_hat = q^2 eps.
+    An immutable tuple.  The rescaled parameters of the period-normalized
+    equation are exposed as properties: eta_hat = q eta, nu_hat = q nu - p,
+    eps_hat = q^2 eps.
     """
 
-    p: int
-    q: int
-    e: float
-    eps: float
-    eta: float
-    nu: float
+    __slots__ = ()
 
     @classmethod
     def from_body(cls, body: Body, eta: float = 0.0) -> "ResonanceParams":
-        return cls(p=body.p, q=body.q, e=body.e, eps=body.oblateness,
-                   eta=eta, nu=body.nu)
+        return cls(body.p, body.q, body.e, body.oblateness, eta, body.nu)
 
     @property
     def eta_hat(self) -> float:
@@ -191,21 +195,22 @@ class ResonanceParams:
         return 2 * self.p // self.q
 
 
-def _body_from_fields(fields: dict, where: str) -> Body:
-    values = {}
+def _body(values, where: str) -> Body:
+    """The Body of one row: ``values`` holds one value per column, in
+    column order, ``_ABSENT`` for a column the row leaves out."""
+    parsed = []
     try:
-        for column, (field, parse, kind) in _COLUMNS.items():
-            value = fields.get(column)
-            if column == "K" and value in (None, ""):
-                values[field] = None
-            elif column not in fields:
+        for (column, (parse, kind)), value in zip(_COLUMNS.items(), values):
+            if column == "K" and value in (_ABSENT, None, ""):
+                parsed.append(None)
+            elif value is _ABSENT:
                 raise CatalogError(f"missing column {column!r}")
             else:
                 try:
-                    values[field] = parse(value)
+                    parsed.append(parse(value))
                 except (TypeError, ValueError, OverflowError):
                     raise CatalogError(f"bad {kind} value {value!r} for {column}")
-        return Body(**values)
+        return Body(*parsed)
     except CatalogError as exc:
         raise CatalogError(f"{where}: {exc}")
 
@@ -232,8 +237,9 @@ def _load_csv(text: str) -> list:
             raise CatalogError(
                 f"line {line_no}: expected {len(header)} fields, got {len(cells)}"
             )
-        fields = dict(zip(header, cells))
-        bodies.append(_body_from_fields(fields, f"line {line_no}"))
+        if len(cells) < len(columns):
+            cells.append(_ABSENT)
+        bodies.append(_body(cells, f"line {line_no}"))
     if header is None:
         raise CatalogError("no header row found")
     return bodies
@@ -246,19 +252,21 @@ def _load_json(text: str) -> list:
         raise CatalogError(f"JSON parse failure: {exc}")
     if not isinstance(records, list):
         raise CatalogError("JSON catalog must be an array of body objects")
+    rows = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CatalogError(f"record {i}: expected a JSON object, got {rec!r}")
         unknown = rec.keys() - _COLUMNS.keys()
         if unknown:
             raise CatalogError(f"record {i}: unknown key {min(unknown)!r}")
+        row = [rec.get(column, _ABSENT) for column in _COLUMNS]
         # the parsers also read CSV text, so JSON strings stop here; an
         # empty K is documented as absent
-        for column, (_, _, kind) in _COLUMNS.items():
-            value = rec.get(column)
+        for (column, (_, kind)), value in zip(_COLUMNS.items(), row):
             if kind != "text" and isinstance(value, str) and (column, value) != ("K", ""):
                 raise CatalogError(f"record {i}: bad {kind} value {value!r} for {column}")
-    return [_body_from_fields(rec, f"record {i}") for i, rec in enumerate(records)]
+        rows.append(row)
+    return [_body(row, f"record {i}") for i, row in enumerate(rows)]
 
 
 def load_catalog(source) -> list:

@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from .catalog import SUPPORTED_RESONANCES, Body, ResonanceParams
@@ -56,9 +57,9 @@ __all__ = [
 GREEN_ETA_HAT_MAX = 0.008301241649622695
 
 
-@dataclass(frozen=True)
-class Conditions:
-    """The four conditions at one parameter set, in hatted units.
+class Conditions(namedtuple("Conditions", "alpha_lower halfwidth eta_hat_bif green range "
+                                         "nonempty bifurcation failed")):
+    """The four conditions at one parameter set, in hatted units: a tuple.
 
     ``green``, ``range``, ``nonempty`` and ``bifurcation`` are margins: the
     right-hand side minus the left-hand side of each inequality (for the
@@ -72,14 +73,7 @@ class Conditions:
     that fails, in the order stated above.
     """
 
-    alpha_lower: float
-    halfwidth: float
-    eta_hat_bif: float
-    green: float
-    range: float
-    nonempty: float
-    bifurcation: float
-    failed: tuple
+    __slots__ = ()
 
 
 def conditions(params: ResonanceParams) -> Conditions:

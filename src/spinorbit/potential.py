@@ -175,7 +175,8 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     (e, n) alone, so asking for several j at one e in a row builds it once.
 
     Args:
-        e: real eccentricity in [0, 1), evaluated as a Python float.
+        e: real eccentricity in [0, 1), evaluated as a Python float; not
+            a bool.
         j: nonzero integer harmonic, not a bool (the expansion has no
             j = 0 term).
         n_quad: the most quadrature nodes allowed, even, from 64 to 2**20.
@@ -185,13 +186,15 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
             e = 0.99664 at |j| = 1, or |j| = 112585 at e = 0); else n_quad
             is too small for T + R.
     """
-    e = float(e)
+    # a bool is a number, but False is no eccentricity: it is kept, and refused below
+    if not isinstance(e, bool):
+        e = float(e)
     # a bool is a numbers.Integral, but True is no harmonic
     if isinstance(j, bool) or not isinstance(j, numbers.Integral):
         raise ValueError(f"harmonic j must be an integer, got j={j}")
     if j == 0:
         raise ValueError("j = 0 is undefined: the potential has no static harmonic")
-    if not 0.0 <= e < 1.0:
+    if isinstance(e, bool) or not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
     if not 64 <= n_quad <= 2**20 or n_quad % 2:
         raise ValueError(f"n_quad must be even, >= 64 and <= 2**20, got {n_quad}")

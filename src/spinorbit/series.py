@@ -50,11 +50,12 @@ def alpha_series(j: int, e: float) -> float:
     and one correctly rounded int / int division ends it.  So cancellation
     across the 11 high-order terms of the j = 3 series cannot degrade the
     result, and it equals float() of the same sum taken in ``Fraction``.
-    Raises ValueError for a negative or non-finite e.
+    Raises ValueError for a negative, non-finite or bool e.
     """
     if j not in _SERIES:
         raise ValueError(f"series coefficients available only for j in (2, 3), got {j}")
-    if not (e >= 0.0 and math.isfinite(e)):
+    # float(False) is 0.0, but a bool is no eccentricity
+    if isinstance(e, bool) or not (e >= 0.0 and math.isfinite(e)):
         raise ValueError(f"eccentricity must be finite and >= 0, got {e}")
     denominator, numerators = _SERIES[j]
     m, d = e.as_integer_ratio()

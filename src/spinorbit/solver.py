@@ -24,7 +24,7 @@ All operations are pure; a solve is deterministic for fixed inputs.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -211,7 +211,7 @@ class ResonantOrbit:
         stride = -(-(2 * self.u.order + 2) // n)
         x = p / q * s + self.xi_star + self.u.samples(stride * n)[::stride][: len(s)]
         return {
-            **{f.name: getattr(self.params, f.name) for f in fields(self.params)},
+            **self.params._asdict(),
             "xi_star": self.xi_star,
             "bifurcation_residual": self.bifurcation_residual,
             "u_coefficients": self.u.coefficients.view(float).reshape(-1, 2).tolist(),

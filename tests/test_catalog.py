@@ -1,8 +1,9 @@
 """Catalog ingestion, validation and derived model parameters."""
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinorbit import certification
 from spinorbit.catalog import (
     Body,
     CatalogError,
@@ -114,7 +116,7 @@ def catalog_text(name, fmt):
     if fmt == "csv":
         return bundled_catalog_path(name).read_text(encoding="utf-8")
     return json.dumps([{"K" if field == "rigidity" else field: value
-                        for field, value in dataclasses.asdict(body).items()}
+                        for field, value in body._asdict().items()}
                        for body in bundled_catalog(name)], indent=1)
 
 
@@ -168,6 +170,49 @@ def test_body_rejects_non_finite(field, value):
     fields[field] = value
     with pytest.raises(CatalogError, match=f"{field}=.* is not finite"):
         Body(**fields)
+
+
+_MOON = ("Moon", "Earth", 1738.10, 1737.70, 1736.00, 0.0549, 1, 1, 1e-8)
+_E_OUT_OF_RANGE = _MOON[:5] + (1.5,) + _MOON[6:]
+# tuple.__new__ skips Body's checks, as namedtuple's own _make would
+_UNCHECKED = tuple.__new__(Body, _E_OUT_OF_RANGE)
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: Body(*_E_OUT_OF_RANGE),
+    lambda: Body(**dict(zip(Body._fields, _E_OUT_OF_RANGE))),
+    lambda: Body._make(_E_OUT_OF_RANGE),
+    lambda: Body(*_MOON)._replace(e=1.5),
+    lambda: copy.copy(_UNCHECKED),
+    lambda: copy.deepcopy(_UNCHECKED),
+] + [lambda protocol=protocol: pickle.loads(pickle.dumps(_UNCHECKED, protocol))
+     for protocol in _PROTOCOLS],
+    ids=["positional", "keyword", "_make", "_replace", "copy", "deepcopy"]
+    + [f"pickle-{protocol}" for protocol in _PROTOCOLS])
+def test_every_route_to_a_body_checks_it(route):
+    with pytest.raises(CatalogError, match=r"^Moon: eccentricity 1\.5 outside \[0, 1\)$"):
+        route()
+
+
+def test_body_copies_and_pickles_to_an_equal_body():
+    body = Body(*_MOON)
+    for clone in (copy.copy(body), copy.deepcopy(body), Body._make(body), body._replace(),
+                  pickle.loads(pickle.dumps(body))):
+        assert type(clone) is Body and clone == body
+
+
+def test_records_are_tuples_without_a_dict():
+    (merc,) = bundled_catalog("mercury")
+    params = ResonanceParams.from_body(merc)
+    conditions = certification.conditions(params)
+    for record, field in ((merc, "e"), (params, "eta"), (conditions, "green")):
+        assert isinstance(record, tuple)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
 
 
 def test_body_invariants():

@@ -110,6 +110,13 @@ def test_fourier_refuses_non_integer_harmonic_by_name(j):
         fourier_coefficient(0.1, j)
 
 
+@pytest.mark.parametrize("e", [False, True])
+def test_fourier_refuses_a_bool_eccentricity(e):
+    # float(False) is 0.0, which would return alpha_2(0) = -0.5
+    with pytest.raises(ValueError, match=rf"^eccentricity must satisfy 0 <= e < 1, got {e}$"):
+        fourier_coefficient(e, 2)
+
+
 def test_fourier_accepts_a_numpy_integer_harmonic():
     assert fourier_coefficient(0.1, np.int64(2)) == fourier_coefficient(0.1, 2)
 
@@ -399,6 +406,16 @@ def test_alpha_series_refuses_non_finite_or_negative_e(e):
     for j in (2, 3):
         with pytest.raises(ValueError, match=r"eccentricity must be finite and >= 0"):
             alpha_series(j, e)
+
+
+@pytest.mark.parametrize("e", [False, True])
+def test_alpha_series_refuses_a_bool_eccentricity(e):
+    # alpha_lower_bound(2, False) used to read False as e = 0 and return 0.5
+    for j in (2, 3):
+        with pytest.raises(ValueError, match=rf"^eccentricity must be finite and >= 0, got {e}$"):
+            alpha_series(j, e)
+        with pytest.raises(ValueError, match=rf"^eccentricity must be finite and >= 0, got {e}$"):
+            alpha_lower_bound(j, e)
 
 
 def test_quadrature_matches_series_at_small_eccentricity():
