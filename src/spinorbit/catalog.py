@@ -91,8 +91,9 @@ def oblateness(a_km: float, b_km: float) -> float:
 
 
 def nu_of_e(e: float) -> float:
-    """Dissipation drift nu(e) = N(e)/Omega(e); equals 1 iff e = 0."""
-    if not 0.0 <= e < 1.0:
+    """Dissipation drift nu(e) = N(e)/Omega(e); equals 1 iff e = 0.  Raises
+    ValueError for e outside [0, 1) or a bool."""
+    if isinstance(e, bool) or not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
     e2 = e * e
     omega = (1.0 + 3.0 * e2 + 0.375 * e2 * e2) / (1.0 - e2) ** 4.5
@@ -103,6 +104,7 @@ def nu_of_e(e: float) -> float:
 # one field per column, in column order; K is stored as ``rigidity``
 _BodyRecord = namedtuple("Body", [c if c != "K" else "rigidity" for c in _COLUMNS],
                          defaults=(None,))
+_FLOAT_FIELDS = ("a_km", "b_km", "c_km", "e", "rigidity")
 
 
 class Body(_BodyRecord):
@@ -120,14 +122,19 @@ class Body(_BodyRecord):
 
     def __new__(cls, *args, **kwargs):
         self = _BodyRecord.__new__(cls, *args, **kwargs)
-        name, _, a_km, b_km, _, e, p, q, _ = self
+        name, _, a_km, b_km, c_km, e, p, q, rigidity = self
         # a line break or other control character would split a report row
         if not (isinstance(name, str) and name and name.isprintable()):
             raise CatalogError(f"body name {name!r} must be a non-empty printable string")
-        for field in ("a_km", "b_km", "c_km", "e", "rigidity"):
-            value = getattr(self, field)
-            if value is not None and not math.isfinite(value):
-                raise CatalogError(f"{name}: {field}={value} is not finite")
+        # as the parsers read them: a bool is no number, and p and q are ints
+        # (bool has no subclass, and a class test is cheaper than isinstance)
+        for field, value in zip(_FLOAT_FIELDS, (a_km, b_km, c_km, e, rigidity)):
+            if value is not None and (value.__class__ is bool or not math.isfinite(value)):
+                reason = "a number" if value.__class__ is bool else "finite"
+                raise CatalogError(f"{name}: {field}={value} is not {reason}")
+        if p.__class__ is not int or q.__class__ is not int:
+            field, value = ("q", q) if p.__class__ is int else ("p", p)
+            raise CatalogError(f"{name}: {field}={value!r} is not an integer")
         if not (a_km > 0.0 and b_km > 0.0):
             raise CatalogError(f"{name}: radii must be positive")
         if a_km < b_km:

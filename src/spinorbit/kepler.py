@@ -45,10 +45,10 @@ def eccentric_anomaly(e, t):
         u with the same shape as t.
 
     Raises:
-        ValueError: e out of the admissible range, or a non-finite t.
+        ValueError: e out of the admissible range or a bool, or a non-finite t.
         KeplerError: no convergence within the iteration cap.
     """
-    if not 0.0 <= e < 1.0:
+    if isinstance(e, bool) or not 0.0 <= e < 1.0:
         raise ValueError(f"real eccentricity must satisfy 0 <= e < 1, got {e}")
     e = float(e)
     ts = np.atleast_1d(np.asarray(t, dtype=float))

@@ -82,11 +82,12 @@ def remainder_bound(e: float, order: int, b: float) -> float:
 
     monotone increasing in e on its domain and vanishing at e = 0.  It is
     math.inf, still a bound, where the power overflows near the disk edge.
+    Raises ValueError for b outside (0, 1) and for e outside the disk or a bool.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"disk parameter b must lie in (0, 1), got {b}")
     e_star = b / math.cosh(b)
-    if not 0.0 <= e < e_star:
+    if isinstance(e, bool) or not 0.0 <= e < e_star:
         raise ValueError(
             f"e={e} outside the Cauchy-estimate disk e < b/cosh(b) = {e_star:.6f}"
         )

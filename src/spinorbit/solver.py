@@ -238,9 +238,10 @@ def _require(params: ResonanceParams, names):
 
 def _order(params: ResonanceParams, N) -> int:
     """The truncation order: N, or by default ``_MODES[q]``.  Raises
-    ValueError, before anything is allocated, unless it is an integer >= 1."""
+    ValueError, before anything is allocated, unless it is an integer >= 1
+    (a bool is not)."""
     N = _MODES[params.q] if N is None else N
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"truncation order N must be an integer >= 1, got {N!r}")
     return N
 

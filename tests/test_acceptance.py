@@ -22,7 +22,7 @@ from spinorbit import solver
 from spinorbit.catalog import ResonanceParams, bundled_catalog
 from spinorbit.certification import GREEN_ETA_HAT_MAX, certify
 from spinorbit.dynamics import SpinState, check_resonance, integrate, orbit_residual
-from spinorbit.potential import fourier_coefficient
+from spinorbit.potential import FLOAT_SLACK, fourier_coefficient
 from spinorbit.series import CANONICAL_B, CANONICAL_ORDER, alpha_series, remainder_bound
 from spinorbit.solver import PeriodicFunction, solve_bifurcation, solve_range
 
@@ -34,10 +34,6 @@ EXPECTED = {
 MOONS = bundled_catalog("moons")
 MERCURY = bundled_catalog("mercury")[0]
 MINOR = bundled_catalog("minor")
-
-# quadrature rounding allowance wherever a certified bound dips below what
-# double precision can resolve (the quadrature's proven accuracy)
-FLOAT_SLACK = 1e-10
 
 
 def two_significant_digits(value, expected):

@@ -174,25 +174,45 @@ def test_body_rejects_non_finite(field, value):
 
 _MOON = ("Moon", "Earth", 1738.10, 1737.70, 1736.00, 0.0549, 1, 1, 1e-8)
 _E_OUT_OF_RANGE = _MOON[:5] + (1.5,) + _MOON[6:]
-# tuple.__new__ skips Body's checks, as namedtuple's own _make would
-_UNCHECKED = tuple.__new__(Body, _E_OUT_OF_RANGE)
 _PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
-@pytest.mark.parametrize("route", [
-    lambda: Body(*_E_OUT_OF_RANGE),
-    lambda: Body(**dict(zip(Body._fields, _E_OUT_OF_RANGE))),
-    lambda: Body._make(_E_OUT_OF_RANGE),
-    lambda: Body(*_MOON)._replace(e=1.5),
-    lambda: copy.copy(_UNCHECKED),
-    lambda: copy.deepcopy(_UNCHECKED),
-] + [lambda protocol=protocol: pickle.loads(pickle.dumps(_UNCHECKED, protocol))
-     for protocol in _PROTOCOLS],
-    ids=["positional", "keyword", "_make", "_replace", "copy", "deepcopy"]
-    + [f"pickle-{protocol}" for protocol in _PROTOCOLS])
+def _routes(record):
+    """Every way to build a Body of ``record``, each as a call."""
+    fields = dict(zip(Body._fields, record))
+    # tuple.__new__ skips Body's checks, as namedtuple's own _make would
+    unchecked = tuple.__new__(Body, record)
+    return [
+        lambda: Body(*record),
+        lambda: Body(**fields),
+        lambda: Body._make(record),
+        lambda: Body(*_MOON)._replace(**fields),
+        lambda: copy.copy(unchecked),
+        lambda: copy.deepcopy(unchecked),
+    ] + [lambda protocol=protocol: pickle.loads(pickle.dumps(unchecked, protocol))
+         for protocol in _PROTOCOLS]
+
+
+@pytest.mark.parametrize("route", _routes(_E_OUT_OF_RANGE),
+                         ids=["positional", "keyword", "_make", "_replace", "copy", "deepcopy"]
+                         + [f"pickle-{protocol}" for protocol in _PROTOCOLS])
 def test_every_route_to_a_body_checks_it(route):
     with pytest.raises(CatalogError, match=r"^Moon: eccentricity 1\.5 outside \[0, 1\)$"):
         route()
+
+
+@pytest.mark.parametrize("record, message", [
+    (("X", "Y", 2.0, 1.0, 1.0, False, True, True), "X: e=False is not a number"),
+    (("X", "Y", 2.0, 1.0, 1.0, 0.1, 1.5, 1), "X: p=1.5 is not an integer"),
+    (("X", "Y", 2.0, 1.0, 1.0, 0.1, 1, True), "X: q=True is not an integer"),
+    (("X", "Y", 2.0, 1.0, 1.0, 0.1, 3.0, 2), "X: p=3.0 is not an integer"),
+    (("X", "Y", True, 1.0, 1.0, 0.1, 1, 1), "X: a_km=True is not a number"),
+    (("X", "Y", 2.0, 1.0, 1.0, 0.1, 1, 1, False), "X: rigidity=False is not a number"),
+], ids=["bool-e-p-q", "fractional-p", "bool-q", "float-p", "bool-a", "bool-rigidity"])
+def test_every_route_to_a_body_refuses_what_the_parsers_refuse(record, message):
+    for route in _routes(record):
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            route()
 
 
 def test_body_copies_and_pickles_to_an_equal_body():
@@ -224,6 +244,17 @@ def test_body_invariants():
         Body("X", "Y", 2.0, 1.0, 1.0, 1.2, 1, 1, None)  # e out of range
     with pytest.raises(CatalogError):
         Body("X", "Y", 2.0, 1.0, 1.0, 0.1, 0, 1, None)  # p < 1
+    with pytest.raises(CatalogError, match="^X: radii must be positive$"):
+        Body("X", "Y", 2.0, 0.0, 1.0, 0.1, 1, 1, None)
+
+
+def test_unreadable_sources_refused():
+    with pytest.raises(CatalogError, match="^no header row found$"):
+        load_catalog("# comments only\n\n# no header\n")
+    with pytest.raises(TypeError, match="unsupported catalog source"):
+        load_catalog(42)
+    with pytest.raises(ValueError, match="^no bundled catalog 'x'; choose from moons/mercury/minor$"):
+        bundled_catalog_path("x")
 
 
 def test_json_parse_errors():

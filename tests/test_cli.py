@@ -217,6 +217,44 @@ def test_fourier_mercury_cross_check(capsys):
     assert abs(row3["alpha_quadrature"] - row3["alpha_series"]) <= row3["remainder_bound"]
 
 
+_FOURIER_KEYS = ("j", "alpha_quadrature", "alpha_series", "remainder_bound", "within_bound")
+
+
+def _fourier_record(row):
+    """The JSON record of a fourier CSV row."""
+    j, *numbers, within = row.split(",")
+    values = [float(c) if c else None for c in numbers]
+    return dict(zip(_FOURIER_KEYS, [int(j), *values, {"yes": True, "no": False, "": None}[within]]))
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # j = 4 down to 1 share one 64-node geometry
+    (("0.2056", "--jmax", "4"), {
+        1: "1,0.05113086064690325,,,",
+        2: "2,-0.447882110565719,-0.4478867150747264,369.69630536379225,yes",
+        3: "3,-0.3270890966819027,-0.3270890966819028,0.045001464780044124,yes",
+        4: "4,-0.16299573640608214,,,",
+    }),
+    # eight harmonics on one shared 512-node geometry, the last to the bit
+    (("0.99", "--jmax", "8"), {8: "8,1.4010804527537788,,,"}),
+    # the deepest grid below the round-off floor: 64 to 512 nodes unproven, then 1024
+    (("0.9966", "--jmax", "1"), {1: "1,0.25599307900518475,,,"}),
+], ids=["mercury-e", "e-0.99-j-8", "e-0.9966"])
+def test_fourier_rows_to_the_bit(capsys, argv, rows):
+    code, out, err = run_cli(capsys, "fourier", *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + int(argv[-1])
+    for j, row in rows.items():
+        assert lines[j] == row
+    # the same values in strict JSON
+    code, out, err = run_cli(capsys, "fourier", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    records = _strict_json(out)
+    for j, row in rows.items():
+        assert records[j - 1] == _fourier_record(row)
+
+
 def test_fourier_unresolved_quadrature_refused(capsys):
     # 64 nodes do not resolve alpha_j at e = 0.95: refused, not a traceback
     code, out, err = run_cli(capsys, "fourier", "0.95", "--nquad", "64")
@@ -226,13 +264,15 @@ def test_fourier_unresolved_quadrature_refused(capsys):
 
 
 def test_fourier_round_off_floor_not_sent_to_more_nodes(capsys):
-    # at e = 0.9999 the rounding bound alone exceeds 1e-10 at every n_quad:
-    # the refusal says so instead of asking for more nodes
-    code, out, err = run_cli(capsys, "fourier", "0.9999", "--jmax", "1", "--nquad", "65536")
-    assert code == 1
-    assert out == ""
-    assert "round-off floor" in err
-    assert "raise --nquad" not in err
+    # at e = 0.9999 the rounding bound alone exceeds 1e-10 at every n_quad,
+    # and the 2048-node alpha_1 at e = 0.9995 is 5.8e-10 off: the refusal
+    # says so instead of asking for more nodes
+    for argv in (("0.9999", "--nquad", "65536"), ("0.9995",)):
+        code, out, err = run_cli(capsys, "fourier", *argv, "--jmax", "1")
+        assert code == 1, argv
+        assert out == ""
+        assert "round-off floor" in err
+        assert "raise --nquad" not in err
 
 
 def test_fourier_refuses_the_top_harmonic_before_any_other_row(capsys, monkeypatch):
@@ -274,14 +314,33 @@ def test_orbit_reports_each_fact_once(capsys):
     # range solution's max|u| and step count follow from u and increments
     code, out, _ = run_cli(capsys, "orbit", "Moon", "--eta", "0.004")
     assert code == 0
-    assert list(json.loads(out)) == [
+    payload = json.loads(out)
+    assert list(payload) == [
         "p", "q", "e", "eps", "eta", "nu", "xi_star", "bifurcation_residual",
         "u_coefficients", "t", "x", "orbit_residual", "certification",
     ]
+    assert payload["orbit_residual"] <= 1e-9
     assert [f.name for f in dataclasses.fields(solver.ResonantOrbit)] == [
         "params", "xi_star", "u", "bifurcation_residual"]
     assert [f.name for f in dataclasses.fields(solver.RangeSolution)] == [
         "xi", "u", "increments", "phi"]
+
+
+@pytest.mark.parametrize("body, selector, eta", [
+    ("Mercury", "all", "0.001"),
+    # just under Mercury's bifurcation ceiling: the root nearest a bracket
+    # end (s = -sin 2 xi = 0.78, where ds/dxi -> 0 at the end)
+    ("Mercury", "all", "0.0014135"),
+    ("Epimetheus", "minor", "0.004"),
+    # just under Epimetheus's Green cap: the slowest contraction
+    ("Epimetheus", "minor", "0.0083012416496226"),
+])
+def test_orbit_solves_up_to_its_ceilings(capsys, body, selector, eta):
+    code, out, err = run_cli(capsys, "orbit", body, "--catalog", selector, "--eta", eta)
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    assert payload["orbit_residual"] <= 1e-9
+    assert payload["certification"]["certified"] is True
 
 
 def test_orbit_mercury_over_cap_refused(capsys):
@@ -392,7 +451,7 @@ def test_orbit_exports_the_requested_samples(capsys):
     assert (len(payload["t"]), len(payload["x"])) == (32, 32)
 
 
-@pytest.mark.parametrize("samples", ["1", "1048577"])
+@pytest.mark.parametrize("samples", ["0", "1", "1048577"])
 def test_orbit_refuses_samples_outside_2_to_2_pow_20(capsys, tmp_path, samples):
     # 2**20 + 1 used to be computed; far larger asks ran out of memory
     out_file = tmp_path / "orbit.json"
@@ -420,6 +479,8 @@ def test_orbit_writes_file(capsys, tmp_path):
 
 def test_invalid_flag_values_exit_two(capsys):
     assert run_cli(capsys, "fourier", "0.1", "--nquad", "63")[0] == 2
+    assert run_cli(capsys, "fourier", "0.1", "--jmax", "0") == (
+        2, "", "error: --jmax must be >= 1, got 0\n")
     assert run_cli(capsys, "orbit", "Moon", "--eta", "-1")[0] == 2
     assert run_cli(capsys, "orbit", "Moon", "--eta", "nan")[0] == 2
     assert run_cli(capsys, "orbit", "Moon", "--eta", "inf")[0] == 2
@@ -441,7 +502,9 @@ def test_console_entry_point():
     '[1, 2]',                              # used to end in AttributeError
     '[{"name": "X", "primary": "Y", "a_km": null, "b_km": 1.0, "c_km": 1.0,'
     ' "e": 0.1, "p": 1, "q": 1}]',         # used to end in TypeError
-], ids=["fractional-p-q", "non-object-record", "null-field"])
+    '[{"name": "A\\nB", "primary": "P", "a_km": 2, "b_km": 1, "c_km": 1,'
+    ' "e": 0.1, "p": 1, "q": 1}]',         # would split its report row
+], ids=["fractional-p-q", "non-object-record", "null-field", "line-break-in-name"])
 def test_malformed_json_catalog_exit_two(capsys, tmp_path, text):
     path = tmp_path / "catalog.json"
     path.write_text(text)
@@ -449,6 +512,20 @@ def test_malformed_json_catalog_exit_two(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert "record 0" in err
+
+
+def test_json_catalog_certifies_to_the_csv_catalog_s_bytes(capsys, tmp_path):
+    # the bundled moons as a JSON catalog, K null in one record and missing
+    # in another: each record is read by column position
+    rows = [{"K" if k == "rigidity" else k: v for k, v in body._asdict().items()}
+            for body in cat.bundled_catalog("moons")]
+    rows[0]["K"] = None
+    del rows[1]["K"]
+    path = tmp_path / "moons.json"
+    path.write_text(json.dumps(rows, indent=1))
+    from_json = run_cli(capsys, "certify", "--catalog", str(path), "--format", "json")
+    assert from_json == run_cli(capsys, "certify", "--catalog", "moons", "--format", "json")
+    assert from_json[0] == 0
 
 
 def test_json_object_catalog_exit_two(capsys, tmp_path):

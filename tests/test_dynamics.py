@@ -13,6 +13,7 @@ from spinorbit.dynamics import (
     DEFAULT_STEP,
     DynamicsError,
     SpinState,
+    Trajectory,
     check_resonance,
     integrate,
     orbit_residual,
@@ -171,6 +172,10 @@ def test_check_resonance_span_and_alignment_errors():
     misaligned = integrate(SpinState(0.0, 1.0, 0.0), 15.0, params, step=0.7)
     with pytest.raises(DynamicsError, match="align"):
         check_resonance(misaligned, 1, 1)
+    # one sample has no step
+    one = Trajectory(t=np.zeros(1), x=np.zeros(1), v=np.ones(1))
+    with pytest.raises(DynamicsError, match="^trajectory too short$"):
+        check_resonance(one, 1, 1)
 
 
 @pytest.mark.parametrize("q", [0, -1])

@@ -20,7 +20,8 @@ from oracles import (SERIES_COEFFS, STRIP_FRACTIONS, alpha_series_reference,
                      hansen_series, log_truncation_bound_reference, potential_fxx,
                      rounding_bound_reference, tidal_kernel)
 from spinorbit import potential
-from spinorbit.catalog import bundled_catalog
+from spinorbit.catalog import bundled_catalog, nu_of_e
+from spinorbit.kepler import eccentric_anomaly
 from spinorbit.potential import QuadratureError, fourier_coefficient, potential_fx
 from spinorbit.series import (
     CANONICAL_B,
@@ -416,6 +417,19 @@ def test_alpha_series_refuses_a_bool_eccentricity(e):
             alpha_series(j, e)
         with pytest.raises(ValueError, match=rf"^eccentricity must be finite and >= 0, got {e}$"):
             alpha_lower_bound(j, e)
+
+
+@pytest.mark.parametrize("e", [False, True])
+@pytest.mark.parametrize("call, message", [
+    (lambda e: eccentric_anomaly(e, 0.0), "real eccentricity must satisfy 0 <= e < 1, got {}"),
+    (nu_of_e, "eccentricity must satisfy 0 <= e < 1, got {}"),
+    (lambda e: remainder_bound(e, CANONICAL_ORDER[2], CANONICAL_B[2]),
+     "e={} outside the Cauchy-estimate disk"),
+], ids=["eccentric_anomaly", "nu_of_e", "remainder_bound"])
+def test_a_bool_eccentricity_is_refused_everywhere(call, message, e):
+    # float(False) is 0.0, but a bool is no eccentricity
+    with pytest.raises(ValueError, match="^" + message.format(e)):
+        call(e)
 
 
 def test_quadrature_matches_series_at_small_eccentricity():

@@ -51,6 +51,19 @@ def test_periodic_function_rejects_nonzero_mean():
         PeriodicFunction(np.array([1.0, 0.5 + 0j]))
 
 
+@pytest.mark.parametrize("coefficients", [[], np.zeros((2, 3))], ids=["empty", "2-d"])
+def test_periodic_function_needs_a_non_empty_1d_array(coefficients):
+    with pytest.raises(ValueError, match="^coefficients must be a non-empty 1-d array$"):
+        PeriodicFunction(coefficients)
+
+
+def test_periodic_function_refuses_too_few_samples():
+    v = PeriodicFunction([0.0, 1.0, 0.5j])
+    with pytest.raises(ValueError, match="^need n >= 6 to represent order 2$"):
+        v.samples(5)
+    assert len(v.samples(6)) == 6
+
+
 def test_evaluate_matches_samples():
     rng = np.random.default_rng(2)
     v = random_zero_mean(rng, 9)
@@ -783,7 +796,7 @@ def test_solve_refuses_unresolved_spectrum(monkeypatch):
         solve_bifurcation(mercury_params(), N=2)
 
 
-@pytest.mark.parametrize("N", [0, -1, 1.5, 64.0, "64"])
+@pytest.mark.parametrize("N", [0, -1, 1.5, 64.0, "64", True, False])
 def test_solves_refuse_a_truncation_order_that_is_not_a_positive_integer(N, monkeypatch):
     def no_workspace(*args):
         raise AssertionError("allocated a workspace")
