@@ -122,16 +122,31 @@ class Body(_BodyRecord):
 
     def __new__(cls, *args, **kwargs):
         self = _BodyRecord.__new__(cls, *args, **kwargs)
-        name, _, a_km, b_km, c_km, e, p, q, rigidity = self
+        name, primary, a_km, b_km, c_km, e, p, q, rigidity = self
         # a line break or other control character would split a report row
         if not (isinstance(name, str) and name and name.isprintable()):
             raise CatalogError(f"body name {name!r} must be a non-empty printable string")
-        # as the parsers read them: a bool is no number, and p and q are ints
-        # (bool has no subclass, and a class test is cheaper than isinstance)
+        if not isinstance(primary, str):
+            raise CatalogError(f"{name}: primary={primary!r} is not a string")
+        # as the parsers read them: only rigidity may be None, a bool is no
+        # number, and p and q are ints (bool has no subclass, and a class
+        # test is cheaper than isinstance)
         for field, value in zip(_FLOAT_FIELDS, (a_km, b_km, c_km, e, rigidity)):
-            if value is not None and (value.__class__ is bool or not math.isfinite(value)):
-                reason = "a number" if value.__class__ is bool else "finite"
-                raise CatalogError(f"{name}: {field}={value} is not {reason}")
+            if value.__class__ is float:
+                finite = math.isfinite(value)
+            elif value is None and field == "rigidity":
+                continue
+            else:
+                try:  # math refuses None, a str, a complex: what is not real
+                    if value.__class__ is bool:
+                        raise TypeError
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int beyond the largest float
+                    finite = False
+                except (TypeError, ValueError):
+                    raise CatalogError(f"{name}: {field}={value!r} is not a number")
+            if not finite:
+                raise CatalogError(f"{name}: {field}={value} is not finite")
         if p.__class__ is not int or q.__class__ is not int:
             field, value = ("q", q) if p.__class__ is int else ("p", p)
             raise CatalogError(f"{name}: {field}={value!r} is not an integer")
@@ -161,14 +176,6 @@ class Body(_BodyRecord):
         # copy and every pickle protocol rebuild through __new__
         return type(self), tuple(self)
 
-    @property
-    def oblateness(self) -> float:
-        return oblateness(self.a_km, self.b_km)
-
-    @property
-    def nu(self) -> float:
-        return nu_of_e(self.e)
-
 
 class ResonanceParams(namedtuple("ResonanceParams", "p q e eps eta nu")):
     """Model parameters (p, q, e, eps, eta, nu) for one certification/solve.
@@ -182,7 +189,8 @@ class ResonanceParams(namedtuple("ResonanceParams", "p q e eps eta nu")):
 
     @classmethod
     def from_body(cls, body: Body, eta: float = 0.0) -> "ResonanceParams":
-        return cls(body.p, body.q, body.e, body.oblateness, eta, body.nu)
+        return cls(body.p, body.q, body.e, oblateness(body.a_km, body.b_km), eta,
+                   nu_of_e(body.e))
 
     @property
     def eta_hat(self) -> float:

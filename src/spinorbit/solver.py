@@ -24,6 +24,7 @@ All operations are pure; a solve is deterministic for fixed inputs.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,10 +101,6 @@ class PeriodicFunction:
         vals = 2.0 * acc.real
         return float(vals) if np.ndim(t) == 0 else vals
 
-    def derivative(self, order: int = 1) -> "PeriodicFunction":
-        k = np.arange(len(self.coefficients))
-        return PeriodicFunction(self.coefficients * (1j * k) ** order)
-
 
 def _synthesize(coefficients, n: int):
     """Values at n uniform nodes of modes 0..N <= n//2 (irfft pads with zeros);
@@ -154,18 +151,14 @@ def _check_spectrum(spectrum, mean):
                           f"{top / total:.2e} of the signal power); increase the truncation order")
 
 
-@dataclass(frozen=True)
-class RangeSolution:
+class RangeSolution(namedtuple("RangeSolution", "xi u increments phi")):
     """Fixed point u of the contraction at one phase xi, and phi(xi) there.
 
-    ``increments`` holds the sup-norm increment of each iteration, so its
-    length is the iteration count.
+    An immutable tuple.  ``increments`` holds the sup-norm increment of each
+    iteration, so its length is the iteration count.
     """
 
-    xi: float
-    u: PeriodicFunction
-    increments: tuple
-    phi: float
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -182,17 +175,13 @@ class ResonantOrbit:
         p, q = self.params.p, self.params.q
         return p / q * np.asarray(s) + self.xi_star + self.u.evaluate(np.asarray(s) / q)
 
-    def xdot_of(self, s):
-        p, q = self.params.p, self.params.q
-        return p / q + self.u.derivative().evaluate(np.asarray(s) / q) / q
-
     def initial_state(self):
         """(x, xdot) at s = 0, for handing to a direct integrator.
 
         At s = 0, z = 1 and Horner's rule adds Re c_k, and Re (i k c_k) =
         -k Im c_k, from k = N down to 1; np.cumsum adds in that order too
-        (np.sum pairs), so this is float(x_of(0.0)), float(xdot_of(0.0))
-        bit for bit.  The trailing c_0 = 0 changes no sum.
+        (np.sum pairs), so this is float(x_of(0.0)) and the test oracle
+        tests/oracles.xdot_of at 0 bit for bit; c_0 = 0 changes no sum.
         """
         p, q = self.params.p, self.params.q
         c = self.u.coefficients[::-1]

@@ -8,8 +8,8 @@ truncated series in ``Fraction`` arithmetic and its coefficients derived
 from the Hansen integral, V_xx and the sup bounds on V_x and V_xx, the
 right-hand side of the spin equation at one state, the RK4 loop on numpy
 scalars, the Green operator and its norm bound, the zero-mean spectral
-projection, PeriodicFunction arithmetic and its evaluation through an
-exponential matrix.
+projection, PeriodicFunction arithmetic, derivative and evaluation through
+an exponential matrix, and a constructed orbit's rotation rate.
 
 Each calls the package's private kernel where one exists, so the tests keep
 exercising package code; the integrand does not, so that it checks the
@@ -376,6 +376,18 @@ def difference(v: PeriodicFunction, w: PeriodicFunction) -> PeriodicFunction:
     c[: v.order + 1] = v.coefficients
     c[: w.order + 1] -= w.coefficients
     return PeriodicFunction(c)
+
+
+def derivative(v: PeriodicFunction, order: int = 1) -> PeriodicFunction:
+    k = np.arange(len(v.coefficients))
+    return PeriodicFunction(v.coefficients * (1j * k) ** order)
+
+
+def xdot_of(orbit, s):
+    """Rotation rate of a ResonantOrbit at time s: p/q + u'(s/q)/q, by
+    Horner, in the order of operations ``initial_state`` reproduces."""
+    p, q = orbit.params.p, orbit.params.q
+    return p / q + derivative(orbit.u).evaluate(np.asarray(s) / q) / q
 
 
 def green_norm_bound(eta_hat: float) -> float:

@@ -208,7 +208,21 @@ def test_every_route_to_a_body_checks_it(route):
     (("X", "Y", 2.0, 1.0, 1.0, 0.1, 3.0, 2), "X: p=3.0 is not an integer"),
     (("X", "Y", True, 1.0, 1.0, 0.1, 1, 1), "X: a_km=True is not a number"),
     (("X", "Y", 2.0, 1.0, 1.0, 0.1, 1, 1, False), "X: rigidity=False is not a number"),
-], ids=["bool-e-p-q", "fractional-p", "bool-q", "float-p", "bool-a", "bool-rigidity"])
+    (("X", None, 2.0, 1.0, 1.0, 0.1, 1, 1), "X: primary=None is not a string"),
+    (("X", 5, 2.0, 1.0, 1.0, 0.1, 1, 1), "X: primary=5 is not a string"),
+    (("X", "Y", None, 1.0, 1.0, 0.1, 1, 1), "X: a_km=None is not a number"),
+    (("X", "Y", 2.0, None, 1.0, 0.1, 1, 1), "X: b_km=None is not a number"),
+    (("X", "Y", 2.0, 1.0, None, 0.1, 1, 1), "X: c_km=None is not a number"),
+    (("X", "Y", 2.0, 1.0, 1.0, None, 1, 1), "X: e=None is not a number"),
+    (("X", "Y", "2", 1.0, 1.0, 0.1, 1, 1), "X: a_km='2' is not a number"),
+    (("X", "Y", 2.0, 1.0, 1.0, "0.1", 1, 1), "X: e='0.1' is not a number"),
+    (("X", "Y", 2.0, 1.0, 1.0, 0.1, 1, 1, "1e-8"), "X: rigidity='1e-8' is not a number"),
+    (("X", "Y", 2.0, 1.0, 1j, 0.1, 1, 1), "X: c_km=1j is not a number"),
+    (("X", "Y", 2.0, b"1", 1.0, 0.1, 1, 1), "X: b_km=b'1' is not a number"),
+    (("X", "Y", 10**400, 1.0, 1.0, 0.1, 1, 1), f"X: a_km={10**400} is not finite"),
+], ids=["bool-e-p-q", "fractional-p", "bool-q", "float-p", "bool-a", "bool-rigidity",
+        "none-primary", "int-primary", "none-a", "none-b", "none-c", "none-e", "str-a", "str-e",
+        "str-rigidity", "complex-c", "bytes-b", "int-beyond-floats-a"])
 def test_every_route_to_a_body_refuses_what_the_parsers_refuse(record, message):
     for route in _routes(record):
         with pytest.raises(CatalogError, match=f"^{message}$"):
@@ -343,8 +357,8 @@ def test_resonance_params_derived_quantities():
     (merc,) = bundled_catalog("mercury")
     params = ResonanceParams.from_body(merc, eta=0.001)
     assert params.eta_hat == pytest.approx(0.002)
-    assert params.nu_hat == pytest.approx(2.0 * merc.nu - 3.0)
-    assert params.eps_hat == pytest.approx(4.0 * merc.oblateness)
+    assert params.nu_hat == pytest.approx(2.0 * nu_of_e(merc.e) - 3.0)
+    assert params.eps_hat == pytest.approx(4.0 * oblateness(merc.a_km, merc.b_km))
     assert params.harmonic == 3
     moon = bundled_catalog("moons")[0]
     assert ResonanceParams.from_body(moon).harmonic == 2

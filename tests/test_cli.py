@@ -322,8 +322,7 @@ def test_orbit_reports_each_fact_once(capsys):
     assert payload["orbit_residual"] <= 1e-9
     assert [f.name for f in dataclasses.fields(solver.ResonantOrbit)] == [
         "params", "xi_star", "u", "bifurcation_residual"]
-    assert [f.name for f in dataclasses.fields(solver.RangeSolution)] == [
-        "xi", "u", "increments", "phi"]
+    assert solver.RangeSolution._fields == ("xi", "u", "increments", "phi")
 
 
 @pytest.mark.parametrize("body, selector, eta", [

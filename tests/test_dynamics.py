@@ -178,6 +178,16 @@ def test_check_resonance_span_and_alignment_errors():
         check_resonance(one, 1, 1)
 
 
+def test_check_resonance_refuses_a_step_off_the_period_by_1e_6():
+    # 64 steps of an exact rotation miss the period by 1e-6, far above the
+    # 1e-9 alignment tolerance
+    t = (TWO_PI + 1e-6) / 64.0 * np.arange(129)
+    traj = Trajectory(t=t, x=t.copy(), v=np.ones(129))
+    assert abs(64 * traj.step - TWO_PI) > 0.5e-6
+    with pytest.raises(DynamicsError, match="does not align with the period"):
+        check_resonance(traj, 1, 1)
+
+
 @pytest.mark.parametrize("q", [0, -1])
 def test_check_resonance_refuses_q_below_one(q):
     params = ResonanceParams(p=1, q=1, e=0.1, eps=0.0, eta=0.0, nu=1.0)

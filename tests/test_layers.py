@@ -1,7 +1,12 @@
-"""The certificate stays on the standard library: certify never imports numpy."""
+"""The certificate stays on the standard library: certify never imports numpy.
+And the package's records are tuples, but for the three dataclasses the
+benchmark rebuilds."""
 
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
@@ -72,3 +77,19 @@ def test_package_keeps_the_catalog_and_certification_names():
     assert spinorbit.load_catalog is spinorbit.catalog.load_catalog
     assert spinorbit.bundled_catalog is spinorbit.catalog.bundled_catalog
     assert spinorbit.ResonanceParams is spinorbit.catalog.ResonanceParams
+
+
+# the records perfbench/test_smoke.py rebuilds with dataclasses.replace;
+# every other record is a tuple
+BENCHMARK_REBUILT_RECORDS = {
+    "certification.CertificationReport", "dynamics.Trajectory", "solver.ResonantOrbit"}
+
+
+def test_only_the_records_the_benchmark_rebuilds_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(spinorbit.__path__):
+        module = importlib.import_module(f"spinorbit.{info.name}")
+        found |= {f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and dataclasses.is_dataclass(value)}
+    assert found == BENCHMARK_REBUILT_RECORDS

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (difference, evaluate_matrix, from_samples, fx_sup_bound, fxx_sup_bound,
-                     green_apply, green_norm_bound, phi_hat, scaled, sup_norm, zero)
+from oracles import (derivative, difference, evaluate_matrix, from_samples, fx_sup_bound,
+                     fxx_sup_bound, green_apply, green_norm_bound, phi_hat, scaled, sup_norm,
+                     xdot_of, zero)
 from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions
@@ -49,6 +50,12 @@ def test_periodic_function_round_trip():
 def test_periodic_function_rejects_nonzero_mean():
     with pytest.raises(ValueError):
         PeriodicFunction(np.array([1.0, 0.5 + 0j]))
+
+
+def test_periodic_function_refuses_a_mean_term_of_1e_9():
+    # the mean term may be 1e-12 of the largest coefficient (or of 1), no more
+    with pytest.raises(ValueError, match="zero-average function required"):
+        PeriodicFunction([1e-9, 1.0])
 
 
 @pytest.mark.parametrize("coefficients", [[], np.zeros((2, 3))], ids=["empty", "2-d"])
@@ -94,7 +101,7 @@ def test_evaluate_keeps_the_shape_of_t():
 def test_derivative_and_arithmetic():
     grid = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
     cos_t = from_samples(np.cos(grid), 4)
-    dcos = cos_t.derivative()
+    dcos = derivative(cos_t)
     assert np.allclose(dcos.evaluate(grid), -np.sin(grid), atol=1e-13)
     doubled = scaled(cos_t, 2.0)
     assert np.allclose(difference(doubled, cos_t).evaluate(grid), np.cos(grid), atol=1e-13)
@@ -123,7 +130,7 @@ def test_green_apply_inverts_operator():
         for _ in range(10):
             g = random_zero_mean(rng, 16)
             u = green_apply(g, eta_hat)
-            lu = u.derivative(2).coefficients + eta_hat * u.derivative(1).coefficients
+            lu = derivative(u, 2).coefficients + eta_hat * derivative(u, 1).coefficients
             assert np.max(np.abs(lu - g.coefficients)) <= 1e-10 * sup_norm(g)
 
 
@@ -153,8 +160,8 @@ def test_zero_mean_norm_inequalities():
         v = random_zero_mean(rng, int(rng.integers(1, 33)))
         sup_v = sup_norm(v, n)
         slack = 1.0 + 1e-6
-        assert sup_v <= (math.pi / 2.0) * sup_norm(v.derivative(1), n) * slack
-        assert sup_v <= (math.pi**2 / 8.0) * sup_norm(v.derivative(2), n) * slack
+        assert sup_v <= (math.pi / 2.0) * sup_norm(derivative(v, 1), n) * slack
+        assert sup_v <= (math.pi**2 / 8.0) * sup_norm(derivative(v, 2), n) * slack
 
 
 def _near_triangle_wave(inverse_power):
@@ -170,7 +177,7 @@ def _near_triangle_wave(inverse_power):
 def test_first_inequality_sharpness_triangle_wave():
     # ||v||/||v'|| approaches pi/2 from below for near-triangle waves
     v = _near_triangle_wave(2)
-    ratio = sup_norm(v, 8192) / sup_norm(v.derivative(1), 8192)
+    ratio = sup_norm(v, 8192) / sup_norm(derivative(v, 1), 8192)
     assert 0.95 * math.pi / 2.0 <= ratio <= math.pi / 2.0 * (1.0 + 1e-9)
 
 
@@ -178,7 +185,7 @@ def test_second_inequality_sharpness_parabola_wave():
     # ||v||/||v''|| approaches pi^2/8 for the double integral of a
     # (smoothed) square wave
     v = _near_triangle_wave(3)
-    ratio = sup_norm(v, 8192) / sup_norm(v.derivative(2), 8192)
+    ratio = sup_norm(v, 8192) / sup_norm(derivative(v, 2), 8192)
     assert 0.95 * math.pi**2 / 8.0 <= ratio <= math.pi**2 / 8.0 * (1.0 + 1e-9)
 
 
@@ -231,6 +238,14 @@ def test_spectrum_check_threshold_on_a_synthetic_spectrum(fraction, refused):
             solver._check_spectrum(spectrum, 0.0)
     else:
         solver._check_spectrum(spectrum, 0.0)
+
+
+def test_spectrum_check_reads_only_the_top_third():
+    # on modes 1..128 the top third starts at mode 87; energy in modes 65
+    # and 86, between the middle and two thirds of the band, is resolved
+    spectrum = np.zeros(129, dtype=complex)
+    spectrum[[1, 65, 86]] = 1.0
+    solver._check_spectrum(spectrum, 0.0)
 
 
 # --------------------------------------------------------------- solve_range
@@ -466,7 +481,7 @@ def test_initial_state_is_the_orbit_at_zero():
             continue
         for eta in (0.0, 0.5 * report.eta_admissible, report.eta_admissible):
             orbit = solve_bifurcation(ResonanceParams.from_body(body, eta=eta))
-            expected = (float(orbit.x_of(0.0)), float(orbit.xdot_of(0.0)))
+            expected = (float(orbit.x_of(0.0)), float(xdot_of(orbit, 0.0)))
             assert orbit.initial_state() == expected, (body.name, eta)
             solves += 1
     assert solves == 63
@@ -477,7 +492,7 @@ def test_initial_state_is_the_orbit_at_zero():
                         * 10.0 ** rng.uniform(-6.0, 0.0, size=64))
     for u in (PeriodicFunction(coefficients), PeriodicFunction([0.0])):
         orbit = ResonantOrbit(params=mercury_params(), xi_star=0.7, u=u, bifurcation_residual=0.0)
-        assert orbit.initial_state() == (float(orbit.x_of(0.0)), float(orbit.xdot_of(0.0)))
+        assert orbit.initial_state() == (float(orbit.x_of(0.0)), float(xdot_of(orbit, 0.0)))
 
 
 def test_orbit_export_coefficients_are_python_float_pairs():
@@ -840,4 +855,11 @@ def test_exported_samples_are_within_one_ulp_of_x_of(params):
 def test_solve_range_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "_RANGE_ITERATION_CAP", 1)
     with pytest.raises(SolverError):
+        solve_range(0.1, moon_params())
+
+
+def test_solve_range_stops_after_2000_iterations(monkeypatch):
+    # no increment meets a negative tolerance, so the cap itself ends the solve
+    monkeypatch.setattr(solver, "_TOL_FIXED_POINT", -1.0)
+    with pytest.raises(SolverError, match="^fixed-point iteration cap 2000 reached at xi=0.1 "):
         solve_range(0.1, moon_params())
