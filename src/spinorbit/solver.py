@@ -255,16 +255,14 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     samples = np.zeros(ws.n) if initial is None else initial.samples(ws.n)
     steps = []
     xi_pt = xi + ws.pt
-    arg, d = np.empty(ws.n), np.empty(ws.n)
     for _ in range(_RANGE_ITERATION_CAP):
-        spectrum = np.fft.rfft(_neg_fx(np.add(xi_pt, samples, out=arg), ws), norm="forward")
+        spectrum = np.fft.rfft(_neg_fx(xi_pt + samples, ws), norm="forward")
         mean = spectrum[0].real
         c = spectrum[: ws.order + 1]
         c[0] = 0.0
         c = (c * ws.multiplier) * ws.eps_hat
         new = _synthesize(c, ws.n)
-        np.subtract(new, samples, out=d)
-        steps.append(float(np.abs(d, out=d).max()))
+        steps.append(float(np.abs(new - samples).max()))
         samples = new
         if steps[-1] <= _TOL_FIXED_POINT:
             break
@@ -275,7 +273,7 @@ def _fixed_point(xi, ws, initial=None) -> RangeSolution:
     _check_spectrum(spectrum, mean)
     # one more sample pass so the reported phase average matches the
     # returned fixed point, not the previous iterate
-    phi = -(math.fsum(_neg_fx(np.add(xi_pt, samples, out=arg), ws).tolist()) / ws.n)
+    phi = -(math.fsum(_neg_fx(xi_pt + samples, ws).tolist()) / ws.n)
     return RangeSolution(xi=xi, u=PeriodicFunction(c), increments=tuple(steps), phi=phi)
 
 

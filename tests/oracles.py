@@ -64,7 +64,7 @@ def complex_eccentric_anomaly(e, t, tol: float = 1e-13):
 
 def eccentric_anomaly_reference(e, t):
     """The Newton solve of ``kepler.eccentric_anomaly`` with a fresh array
-    for every operation; the package's in-place loop must match it bit for bit."""
+    for every operation; the package's loop must match it bit for bit."""
     e = float(e)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     u = ts + e * np.sin(ts)

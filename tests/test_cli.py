@@ -239,7 +239,9 @@ def _fourier_record(row):
     (("0.99", "--jmax", "8"), {8: "8,1.4010804527537788,,,"}),
     # the deepest grid below the round-off floor: 64 to 512 nodes unproven, then 1024
     (("0.9966", "--jmax", "1"), {1: "1,0.25599307900518475,,,"}),
-], ids=["mercury-e", "e-0.99-j-8", "e-0.9966"])
+    # a negative zero e: the remainder bound is +0.0, not -0.0
+    (("-0.0", "--jmax", "3"), {2: "2,-0.5,-0.5,0.0,yes"}),
+], ids=["mercury-e", "e-0.99-j-8", "e-0.9966", "e-minus-zero"])
 def test_fourier_rows_to_the_bit(capsys, argv, rows):
     code, out, err = run_cli(capsys, "fourier", *argv, "--format", "csv")
     assert (code, err) == (0, "")

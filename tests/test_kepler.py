@@ -116,6 +116,18 @@ def test_bisection_fallback_meets_the_tolerance(monkeypatch):
     assert np.max(np.abs(u - 0.999 * np.sin(u) - t)) <= 1e-13
 
 
+def test_newton_alone_converges_at_e_0_99(monkeypatch):
+    # Newton needs 9 updates here, at 0.02 < |t| < 0.045; a Newton cap
+    # below that would hand points to the bisection, which is made to fail
+    def no_bisection(e, t):
+        raise AssertionError(f"bisection fallback reached at e={e}, t={t}")
+
+    monkeypatch.setattr(kepler, "_bisect_kepler", no_bisection)
+    t = np.linspace(-np.pi, np.pi, 20001)
+    u = eccentric_anomaly(0.99, t)
+    assert np.max(np.abs(u - 0.99 * np.sin(u) - t)) <= 1e-13
+
+
 def _grids(body):
     """The solver's collocation grid and the RK4 half grid of one resonance period."""
     n = max(4 * solver._MODES[body.q], solver._COLLOCATION_MIN)
