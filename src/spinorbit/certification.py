@@ -24,7 +24,9 @@ conservative) and m = (1-e)^6:
 reason each failure gives; the certifier, the solver's preconditions and
 the command line all read it.  :func:`json_text` is the package's one JSON
 writer, ``json.dumps(value, indent=1)`` byte for byte: the report rows, the
-orbit and the coefficient table all go through it.
+orbit and the coefficient table all go through it.  :func:`table_text` is
+its one CSV and markdown writer, for the report rows and the coefficient
+table alike.
 """
 
 import csv
@@ -47,6 +49,7 @@ __all__ = [
     "reports_to_json",
     "reports_to_markdown",
     "REPORT_COLUMNS",
+    "table_text",
     "json_value",
     "json_text",
 ]
@@ -240,27 +243,34 @@ def _cell(value):
     return str(value)
 
 
+def table_text(rows, fmt: str) -> str:
+    """``rows`` of text cells, the header first, as CSV (``fmt`` "csv") or
+    else as a markdown table, where a ``|`` in a cell is written ``\\|``."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    lines = ["| " + " | ".join(c.replace("|", "\\|") for c in row) + " |" for row in rows]
+    lines.insert(1, "|" + "---|" * len(rows[0]))
+    return "\n".join(lines) + "\n"
+
+
 def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow([_cell(getattr(r, c)) for c in REPORT_COLUMNS])
-    return buf.getvalue()
+    return table_text([REPORT_COLUMNS] + [[_cell(getattr(r, c)) for c in REPORT_COLUMNS]
+                                          for r in reports], "csv")
 
 
 def reports_to_json(reports) -> str:
     return json_text([r.to_dict() for r in reports]) + "\n"
 
 
+_MARKDOWN_HEADER = ("body", "lower bound on the resonant coefficient", "range margin",
+                    "non-empty margin", "eta ceiling (bifurcation)", "eta ceiling (Green)",
+                    "eta admissible", "certified")
+
+
 def reports_to_markdown(reports) -> str:
     """Markdown table with the summary-column order, for visual diffing."""
-    head = "| body | lower bound on the resonant coefficient | range margin | non-empty margin | eta ceiling (bifurcation) | eta ceiling (Green) | eta admissible | certified |"
-    sep = "|" + "---|" * len(REPORT_COLUMNS)
-    lines = [head, sep]
-    for r in reports:
-        cells = ([r.body_name.replace("|", "\\|")]
-                 + [f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]]
-                 + ["yes" if r.certified else "no"])
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+    return table_text([_MARKDOWN_HEADER] + [
+        [r.body_name, *(f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]),
+         "yes" if r.certified else "no"] for r in reports], "md")

@@ -123,25 +123,14 @@ def _fourier_rows(e: float, j_max: int, n_quad: int):
 
 
 def _render_fourier(rows, fmt: str) -> str:
-    cols = tuple(rows[0])
     if fmt == "json":
         rows = [{c: cert.json_value(v) for c, v in r.items()} for r in rows]
         return cert.json_text(rows) + "\n"
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "yes" if v else "no"
-        return str(v)
-
-    if fmt == "csv":
-        lines = [",".join(cols)]
-        lines += [",".join(cell(r[c]) for c in cols) for r in rows]
-        return "\n".join(lines) + "\n"
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    lines += ["| " + " | ".join(cell(r[c]) or "-" for c in cols) + " |" for r in rows]
-    return "\n".join(lines) + "\n"
+    # an absent value is an empty CSV cell, and "-" in markdown
+    none = "" if fmt == "csv" else "-"
+    cells = [[none if v is None else ("yes" if v else "no") if isinstance(v, bool) else str(v)
+              for v in r.values()] for r in rows]
+    return cert.table_text([list(rows[0])] + cells, fmt)
 
 
 def cmd_fourier(args) -> int:

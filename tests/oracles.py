@@ -7,7 +7,8 @@ its rounding bound restated term by term from its derivation, the
 truncated series in ``Fraction`` arithmetic and its coefficients derived
 from the Hansen integral, V_xx and the sup bounds on V_x and V_xx, the
 right-hand side of the spin equation at one state, the RK4 loop on numpy
-scalars, the Green operator and its norm bound, the zero-mean spectral
+scalars, the periodic orbit found by shooting on RK4's period map, the
+Green operator and its norm bound, the zero-mean spectral
 projection, PeriodicFunction arithmetic, derivative and evaluation through
 an exponential matrix, and a constructed orbit's rotation rate.
 
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory
+from spinorbit.dynamics import DEFAULT_STEP, DynamicsError, SpinState, Trajectory, integrate
 from spinorbit.kepler import (_ITERATION_CAP, _NEWTON_CAP, _TOL, AnomalyTriple, KeplerError,
                               _bisect_kepler, anomalies, eccentric_anomaly)
 from spinorbit.potential import FLOAT_SLACK, QuadratureError, potential_fx
@@ -161,6 +162,35 @@ def integrate_reference(initial: SpinState, t_end: float, params,
             raise DynamicsError(f"non-finite state at t={ts[k + 1]}")
         xs[k + 1], vs[k + 1] = x, v
     return Trajectory(t=ts, x=xs, v=vs)
+
+
+def shooting_orbit(params):
+    """(x0, v0) of the p:q periodic orbit at ``params``, found by shooting.
+
+    Newton on the period map, F(x0, v0) = (x(2 pi q) - x0 - 2 pi p,
+    v(2 pi q) - v0), with x and v from the package's RK4 (``integrate``) at
+    step 2 pi/1024 and a forward-difference Jacobian of width 1e-7, started
+    at (pi/2, p/q), until max |F| <= 1e-13.  It uses nothing of the spectral
+    solver (H. B. Keller, Numerical Methods for Two-Point Boundary-Value
+    Problems, Blaisdell 1968, ch. 2).  Raises RuntimeError after 8 Newton
+    steps; the 63 certified solves take at most 5.
+    """
+    step, delta, tol, cap = 2.0 * math.pi / 1024.0, 1e-7, 1e-13, 8
+    period, shift = 2.0 * math.pi * params.q, 2.0 * math.pi * params.p
+
+    def defect(z):
+        traj = integrate(SpinState(z[0], z[1], 0.0), period, params, step)
+        return np.array([traj.x[-1] - z[0] - shift, traj.v[-1] - z[1]])
+
+    z = np.array([math.pi / 2.0, params.p / params.q])
+    for _ in range(cap):
+        F = defect(z)
+        if np.abs(F).max() <= tol:
+            return float(z[0]), float(z[1])
+        J = np.column_stack([(defect(z + dz) - F) / delta for dz in delta * np.eye(2)])
+        z = z - np.linalg.solve(J, F)
+    raise RuntimeError(f"shooting: max |F| = {np.abs(defect(z)).max():.2e} > {tol:g} "
+                       f"after {cap} Newton steps")
 
 
 def tidal_kernel(e, t, tol: float = 1e-13):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,28 @@ def test_certify_markdown_header(capsys):
     code, out, _ = run_cli(capsys, "certify", "--catalog", "mercury")
     assert code == 0
     assert out.splitlines()[0].startswith("| body |")
+
+
+_PINNED = Path(__file__).parent / "data" / "cli"
+
+
+# argv and exit code of each run whose CSV and markdown tests/data/cli holds
+_PINNED_RUNS = {
+    "certify_all": (("certify", "--catalog", "all"), 0),
+    "certify_minor": (("certify", "--catalog", "minor"), 1),
+    "fourier_0.2056": (("fourier", "0.2056", "--jmax", "4"), 0),
+    "fourier_0.9": (("fourier", "0.9", "--jmax", "4"), 0),
+    # names holding ',', '"' and '|': CSV quoting and the markdown escape
+    "certify_named": (("certify", "--catalog", str(_PINNED / "named_catalog.json")), 1),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_tables_are_the_pinned_bytes(capsys, name, fmt):
+    argv, code = _PINNED_RUNS[name]
+    expected = (_PINNED / f"{name}.{fmt}").read_bytes().decode("utf-8")
+    assert run_cli(capsys, *argv, "--format", fmt) == (code, expected, "")
 
 
 def test_output_determinism(capsys):

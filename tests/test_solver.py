@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (derivative, difference, evaluate_matrix, from_samples, fx_sup_bound,
-                     fxx_sup_bound, green_apply, green_norm_bound, phi_hat, scaled, sup_norm,
-                     xdot_of, zero)
+                     fxx_sup_bound, green_apply, green_norm_bound, phi_hat, scaled,
+                     shooting_orbit, sup_norm, xdot_of, zero)
 from spinorbit import solver
 from spinorbit.catalog import Body, ResonanceParams, bundled_catalog
 from spinorbit.certification import certify, conditions
@@ -495,6 +495,26 @@ def test_initial_state_is_the_orbit_at_zero():
         assert orbit.initial_state() == (float(orbit.x_of(0.0)), float(xdot_of(orbit, 0.0)))
 
 
+def test_every_orbit_is_the_one_shooting_finds():
+    # a second construction of each of the 63 solves, the 21 certified
+    # bodies at eta in {0, eta_adm/2, eta_adm}: Newton on RK4's period map
+    # from (pi/2, p/q), with nothing from the spectral solver.  x0 agrees
+    # mod pi (V_x has period pi in x) within the phase residual plus 5e-12:
+    # at eta = 0 the residual can be ~0 while x0 differs by 1.3e-12
+    solves = 0
+    for body in _certified_bodies():
+        cap = certify(body).eta_admissible
+        for eta in (0.0, 0.5 * cap, cap):
+            orbit = solve_bifurcation(ResonanceParams.from_body(body, eta=eta))
+            x0, v0 = orbit.initial_state()
+            shot_x0, shot_v0 = shooting_orbit(orbit.params)
+            dx0 = (shot_x0 - x0 + math.pi / 2.0) % math.pi - math.pi / 2.0
+            assert abs(dx0) <= orbit.bifurcation_residual + 5e-12, (body.name, eta, dx0)
+            assert abs(shot_v0 - v0) <= 1e-12, (body.name, eta, shot_v0 - v0)
+            solves += 1
+    assert solves == 63
+
+
 def test_orbit_export_coefficients_are_python_float_pairs():
     payload = solve_bifurcation(mercury_params(eta=0.001)).to_dict(n_samples=8)
     pairs = payload["u_coefficients"]
@@ -756,6 +776,25 @@ def test_root_search_safeguard_bounds_regula_falsi():
     assert 0.0 < root < 1.0 and abs(f(root)) <= 1e-14
     assert len(evaluations) - 3 <= 20
     assert all(0.0 < x < 1.0 for x in evaluations[2:])
+
+
+@pytest.mark.parametrize("f, calls", [
+    (lambda x: 0.1 - x**3, 11),
+    (lambda x: math.exp(-300.0 * x) - 1e-3, 25),
+], ids=["cubic", "steep-exponential"])
+def test_root_search_halves_after_three_steps_that_did_not_halve(f, calls):
+    # the halving trigger arms only from the fourth step, which no solve of
+    # a certified body reaches; on these curves a trigger of 0.75 in place
+    # of 0.5 takes 12 and 33 calls
+    evaluations = []
+
+    def counted(x):
+        evaluations.append(x)
+        return f(x)
+
+    root = solver._bracketed_root(counted, 0.0, 1.0, 1e-12)
+    assert abs(f(root)) <= 1e-12
+    assert len(evaluations) == calls
 
 
 def test_root_search_returns_an_exact_zero_at_a_midpoint():
