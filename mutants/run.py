@@ -1,8 +1,8 @@
 """One-line mutants of the package, each with the verdict Tier-1 must give it.
 
-    python mutants/run.py [NAME ...]
+    python mutants/run.py
 
-For each mutant (all of them, or those NAMEd), copies the checkout's
+For each mutant, copies the checkout's
 ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
 makes the one-line change there, and runs ``python -m pytest -x -q tests``
 on the copy.  A mutant is "killed" when a test fails and "survives" when
@@ -126,14 +126,9 @@ def verdict(name: str) -> str:
     return KILLED if run.returncode else SURVIVES
 
 
-def main(argv) -> int:
-    names = argv or list(MUTANTS)
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     wrong = 0
-    for name in names:
+    for name in MUTANTS:
         expected = MUTANTS[name][3]
         try:
             got = verdict(name)
@@ -142,9 +137,9 @@ def main(argv) -> int:
         ok = got == expected
         wrong += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {got} (expected {expected})", flush=True)
-    print(f"{len(names) - wrong} of {len(names)} verdicts as expected")
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} verdicts as expected")
     return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

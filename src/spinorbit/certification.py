@@ -24,9 +24,7 @@ conservative) and m = (1-e)^6:
 reason each failure gives; the certifier, the solver's preconditions and
 the command line all read it.  :func:`json_text` is the package's one JSON
 writer, ``json.dumps(value, indent=1)`` byte for byte: the report rows, the
-orbit and the coefficient table all go through it.  :func:`table_text` is
-its one CSV and markdown writer, for the report rows and the coefficient
-table alike.
+orbit and the coefficient table all go through it.
 """
 
 import csv
@@ -244,8 +242,8 @@ def _cell(value):
 
 
 def table_text(rows, fmt: str) -> str:
-    """``rows`` of text cells, the header first, as CSV (``fmt`` "csv") or
-    else as a markdown table, where a ``|`` in a cell is written ``\\|``."""
+    """The one CSV (``fmt`` "csv") and markdown writer: ``rows`` of text cells,
+    the header first; in markdown a ``|`` in a cell is written ``\\|``."""
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -256,21 +254,20 @@ def table_text(rows, fmt: str) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    return table_text([REPORT_COLUMNS] + [[_cell(getattr(r, c)) for c in REPORT_COLUMNS]
-                                          for r in reports], "csv")
+    rows = [REPORT_COLUMNS] + [[_cell(getattr(r, c)) for c in REPORT_COLUMNS] for r in reports]
+    return table_text(rows, "csv")
 
 
 def reports_to_json(reports) -> str:
     return json_text([r.to_dict() for r in reports]) + "\n"
 
 
-_MARKDOWN_HEADER = ("body", "lower bound on the resonant coefficient", "range margin",
-                    "non-empty margin", "eta ceiling (bifurcation)", "eta ceiling (Green)",
-                    "eta admissible", "certified")
-
-
 def reports_to_markdown(reports) -> str:
     """Markdown table with the summary-column order, for visual diffing."""
-    return table_text([_MARKDOWN_HEADER] + [
-        [r.body_name, *(f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]),
-         "yes" if r.certified else "no"] for r in reports], "md")
+    rows = [("body", "lower bound on the resonant coefficient", "range margin",
+             "non-empty margin", "eta ceiling (bifurcation)", "eta ceiling (Green)",
+             "eta admissible", "certified")]
+    for r in reports:
+        numbers = [f"{getattr(r, c):.6g}" for c in REPORT_COLUMNS[1:-1]]
+        rows.append([r.body_name, *numbers, "yes" if r.certified else "no"])
+    return table_text(rows, "md")

@@ -126,11 +126,15 @@ def _render_fourier(rows, fmt: str) -> str:
     if fmt == "json":
         rows = [{c: cert.json_value(v) for c, v in r.items()} for r in rows]
         return cert.json_text(rows) + "\n"
-    # an absent value is an empty CSV cell, and "-" in markdown
-    none = "" if fmt == "csv" else "-"
-    cells = [[none if v is None else ("yes" if v else "no") if isinstance(v, bool) else str(v)
-              for v in r.values()] for r in rows]
-    return cert.table_text([list(rows[0])] + cells, fmt)
+
+    def cell(v):
+        if v is None:  # an empty CSV cell, and "-" in markdown
+            return "" if fmt == "csv" else "-"
+        if isinstance(v, bool):
+            return "yes" if v else "no"
+        return str(v)
+
+    return cert.table_text([list(rows[0])] + [[cell(v) for v in r.values()] for r in rows], fmt)
 
 
 def cmd_fourier(args) -> int:
