@@ -12,7 +12,7 @@ a mutant's text is not found exactly once in its file.  A test run that
 pytest itself cannot complete (exit 3 or more) raises.
 
 The survivors are listed on purpose: three change only step counts or a
-node count that no test can see without a proven bound, and four are
+node count that no test can see without a proven bound, and three are
 equivalent or inert at the default settings.  A survivor that a new test
 kills is a verdict change, so the list has to be updated with the test.
 Standard library only; the mutants run one at a time.
@@ -73,6 +73,16 @@ MUTANTS = {
         "series.py", "    if e == 0.0:", "    if False:", KILLED),
     "halving-trigger": (
         "solver.py", "width > 0.5 * widths[-4]", "width > 0.75 * widths[-4]", KILLED),
+    # each quadrature cache keeps one entry; the decorator is anchored to its def line
+    "geometry-cache-unbounded": (
+        "potential.py", "@functools.lru_cache(maxsize=1)\ndef _geometry(e, n):",
+        "@functools.lru_cache(maxsize=None)\ndef _geometry(e, n):", KILLED),
+    "nodes-cache-unbounded": (
+        "potential.py", "@functools.lru_cache(maxsize=1)\ndef _nodes(n):",
+        "@functools.lru_cache(maxsize=None)\ndef _nodes(n):", KILLED),
+    "node-table-cos-squared": (
+        "potential.py", "nodes = (u, np.sin(half), b, b * b, np.cos(u), np.sin(u))",
+        "nodes = (u, np.sin(half), b, b, np.cos(u), np.sin(u))", KILLED),
     # a wrong node count that only a proven residual bound would see
     "residual-nodes": (
         "dynamics.py", "n = max(512, 2 * orbit.u.order + 2)", "n = max(64, 2 * orbit.u.order + 2)",
@@ -83,9 +93,6 @@ MUTANTS = {
     "kepler-bisection-cap": (
         "kepler.py", "_ITERATION_CAP = 200", "_ITERATION_CAP = 100", SURVIVES),
     # equivalent, or inert at the defaults
-    "geometry-cache-unbounded": (
-        "potential.py", "@functools.lru_cache(maxsize=1)", "@functools.lru_cache(maxsize=None)",
-        SURVIVES),
     "halfwidth-negative": (
         "certification.py", "if halfwidth <= 0.0 or eps_hat <= 0.0:",
         "if halfwidth < 0.0 or eps_hat <= 0.0:", SURVIVES),

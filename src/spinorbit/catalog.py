@@ -284,18 +284,29 @@ def _load_json(text: str) -> list:
     return [_body(row, f"record {i}") for i, row in enumerate(rows)]
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after a BOM; the offset here is into ``data``
+        offset = exc.start + len(data) - len(exc.object)
+        raise CatalogError(f"catalog is not UTF-8: byte 0x{data[offset]:02x} "
+                           f"at offset {offset}") from exc
+
+
 def load_catalog(source) -> list:
     """Load and validate a catalog from a file (``Path``) or its text.
 
     Text (``str`` or ``bytes``) starting with '[' or '{' is parsed as JSON,
-    anything else as CSV; a file or ``bytes`` may start with a UTF-8 BOM.
-    Duplicate body names, compared case-insensitively, are rejected; every
-    invariant violation is reported with its row.
+    anything else as CSV; a file or ``bytes`` must be UTF-8 and may start
+    with a BOM.  Duplicate body names, compared case-insensitively, are
+    rejected; every invariant violation is reported with its row.
     """
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8-sig")
+        # universal newlines, as a file read as text gives them
+        source = _decode(source.read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
     elif isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
+        source = _decode(source)
     elif not isinstance(source, str):
         raise TypeError(f"unsupported catalog source {type(source)!r}")
 

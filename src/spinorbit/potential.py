@@ -14,12 +14,15 @@ and the alpha_j control which p:q resonances can be sustained.  This module
 evaluates V_x pointwise (``potential_fx``) and alpha_j by periodic-trapezoid
 quadrature of a real integrand in the eccentric anomaly
 (``fourier_coefficient``) on the fewest nodes that a priori bounds on its
-truncation and rounding prove accurate to FLOAT_SLACK.  Only cos(j m) and
-sin(j m), m = u - e sin u, depend on the harmonic j: the rest of the
-integrand is built once per (e, n) and kept in one cache entry, four
-read-only arrays on the n nodes (2 KiB at 64 nodes, at most 4 MiB at 2**17,
-the largest grid any accepted call is proven on), which the next harmonic
-at the same e and grid reuses.  The certified series
+truncation and rounding prove accurate to FLOAT_SLACK.  Two caches of one
+entry each keep read-only arrays on the n nodes; 2**17 is the largest grid
+any accepted call is proven on.  The nodes u and their e-free factors
+sin(u/2), cos(u/2), cos^2(u/2), cos u and sin u are built once per n, six
+arrays (3 KiB at 64 nodes, 6 MiB at 2**17) that every e on that grid
+reuses.  Only cos(j m) and sin(j m), m = u - e sin u, depend on the
+harmonic j: the rest of the integrand is built once per (e, n), four arrays
+(2 KiB at 64 nodes, 4 MiB at 2**17) that the next harmonic at the same e
+and grid reuses.  The certified series
 route to alpha_2 and alpha_3, with its Cauchy remainder bound, is the
 numpy-free ``series`` module.  A second quadrature route, on the
 mean-anomaly grid, is a test reference in tests/oracles.py.
@@ -69,27 +72,40 @@ def potential_fx(e, x, t):
 
 
 @functools.lru_cache(maxsize=1)
+def _nodes(n):
+    # The n nodes span [-pi, pi), centred where the integrand is steepest:
+    # 2 pi/n is exact for n a power of two, so each is rounded once, relative
+    # to |u|.  Returns u, sin(u/2), cos(u/2), cos^2(u/2), cos u and sin u,
+    # which depend on n alone, read-only because every e on this grid shares
+    # them.
+    u = 2.0 * np.pi / n * np.arange(-n // 2, n // 2)
+    half = 0.5 * u
+    b = np.cos(half)
+    nodes = (u, np.sin(half), b, b * b, np.cos(u), np.sin(u))
+    for node in nodes:
+        node.setflags(write=False)
+    return nodes
+
+
+@functools.lru_cache(maxsize=1)
 def _geometry(e, n):
     # Integrate in the eccentric anomaly u (dt = rho du):
     #   alpha_j = -(1/4pi) int_{-pi}^{pi} [P c_j - Q s_j] / (rho^2 (A^2+B^2)^2) du
     # where s = sqrt((1+e)/(1-e)), A = s sin(u/2), B = cos(u/2), P + iQ =
     # (A + iB)^4 and c_j + i s_j = e^{ijm}, m = u - e sin u.  Writing the
     # rational function of w = A/B through A and B removes the w -> inf
-    # singularity at u = pi; _rounding_bound is derived for this code.  The
-    # nodes span [-pi, pi), centred where the integrand is steepest: 2 pi/n
-    # is exact for n a power of two, so each is rounded once, relative to |u|.
+    # singularity at u = pi; _rounding_bound is derived for this code.
     # Only c_j and s_j depend on j: this returns (P, Q, m, rho^2 (A^2+B^2)^2)
     # on the n nodes, read-only because the next harmonic at the same (e, n)
     # shares them.
-    u = 2.0 * np.pi / n * np.arange(-n // 2, n // 2)
+    u, sin_half, b, b2, cos_u, sin_u = _nodes(n)
     s = math.sqrt((1.0 + e) / (1.0 - e))
-    half = 0.5 * u
-    a, b = s * np.sin(half), np.cos(half)
-    a2, b2 = a * a, b * b
+    a = s * sin_half
+    a2 = a * a
     p = a2 * a2 - 6.0 * a2 * b2 + b2 * b2
     q = 4.0 * a * b * (a2 - b2)
-    rho = 1.0 - e * np.cos(u)
-    factors = (p, q, u - e * np.sin(u), rho**2 * (a2 + b2) ** 2)
+    rho = 1.0 - e * cos_u
+    factors = (p, q, u - e * sin_u, rho**2 * (a2 + b2) ** 2)
     for factor in factors:
         factor.setflags(write=False)
     return factors
@@ -172,7 +188,9 @@ def fourier_coefficient(e: float, j: int, n_quad: int = 2048) -> float:
     two n in [64, n_quad] with T(e, j, n) + R(e, j) <= FLOAT_SLACK (T from
     ``_proven_grid``, R from ``_rounding_bound``; both grow with |j|).  The
     j-independent part of the integrand on that grid is cached for the last
-    (e, n) alone, so asking for several j at one e in a row builds it once.
+    (e, n) alone, so asking for several j at one e in a row builds it once,
+    and its e-free node factors for the last n, which a new e on the same
+    grid reuses.
 
     Args:
         e: real eccentricity in [0, 1), evaluated as a Python float; not

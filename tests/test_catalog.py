@@ -149,6 +149,20 @@ def test_utf8_bom_is_accepted(tmp_path, fmt):
     assert load_catalog(marked.read_bytes()) == load_catalog(plain)
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_non_utf8_catalog_is_refused_by_byte_and_offset(tmp_path, bom):
+    # a Latin-1 export: the first byte that is not UTF-8 is named with its
+    # offset into the file, counting any BOM, and the codec's error is kept
+    data = bom + catalog_text("mercury", "csv").replace("Mercury,Sun", "Mercur\xe9,Sun").encode("latin-1")
+    offset = data.index(b"\xe9")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    for source in (data, path):
+        with pytest.raises(CatalogError, match=f"^catalog is not UTF-8: byte 0xe9 at offset {offset}$") as info:
+            load_catalog(source)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
 def test_row_precise_diagnostics():
     text = "name,primary,a_km,b_km,c_km,e,p,q,K\nX,Y,1.0,2.0,1.0,0.1,1,1,\n"
     with pytest.raises(CatalogError, match="line 2"):

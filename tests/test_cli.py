@@ -541,6 +541,17 @@ def test_malformed_json_catalog_exit_two(capsys, tmp_path, text):
     assert "record 0" in err
 
 
+def test_non_utf8_catalog_exit_two(capsys, tmp_path):
+    # refused by name like any other bad catalog, not as the codec's own words
+    text = cat.bundled_catalog_path("mercury").read_text(encoding="utf-8")
+    data = text.replace("Mercury,Sun", "Mercur\xe9,Sun").encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    offset = data.index(b"\xe9")
+    assert run_cli(capsys, "certify", "--catalog", str(path)) == (
+        2, "", f"error: catalog is not UTF-8: byte 0xe9 at offset {offset}\n")
+
+
 def test_json_catalog_certifies_to_the_csv_catalog_s_bytes(capsys, tmp_path):
     # the bundled moons as a JSON catalog, K null in one record and missing
     # in another: each record is read by column position

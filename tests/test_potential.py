@@ -215,17 +215,20 @@ def test_cached_quadrature_matches_reference_in_any_call_order():
         else:
             assert fourier_coefficient(e, j, n_quad) == alpha_trapezoid_reference(e, j, n), (e, j)
     assert refusals > 0
-    # the one cached geometry at its edges: -0.0 right after 0.0, a numpy
-    # scalar and a 0-d array equal to the cached float, and a 1024-node grid
-    # between 64-node calls, which evicts the entry and refills it
+    # the cached node table and geometry at their edges: -0.0 right after
+    # 0.0, a numpy scalar and a 0-d array equal to the cached float, and a
+    # 1024-node grid between 64-node calls, which evicts both entries and
+    # refills them; each cache keeps one entry, every array read-only
     assert _chosen_grid(0.9966, 1, 2048) == 1024
     edges = [(0.0, 2), (-0.0, 2), (0.2056, 3), (np.float64(0.2056), 1), (np.asarray(0.2056), 4),
              (0.3, 1), (0.9966, 1), (0.3, 2)]
     for e, j in edges:
         n = _chosen_grid(float(e), j, 2048)
         assert fourier_coefficient(e, j) == alpha_trapezoid_reference(float(e), j, n), (e, j)
-    with pytest.raises(ValueError):
-        potential._geometry(0.3, 64)[0][0] = 0.0
+    assert potential._nodes.cache_info().currsize == potential._geometry.cache_info().currsize == 1
+    for array in (*potential._nodes(64), *potential._geometry(0.3, 64)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_fourier_doubling_check_flags_coarse_grids():
