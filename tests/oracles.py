@@ -64,19 +64,26 @@ def complex_eccentric_anomaly(e, t, tol: float = 1e-13):
 
 
 def eccentric_anomaly_reference(e, t):
-    """The Newton solve of ``kepler.eccentric_anomaly`` with a fresh array
-    for every operation; the package's loop must match it bit for bit."""
+    """The Newton solve of ``kepler.eccentric_anomaly`` on the half-angle
+    tangent, one named array per operation; the package's loop must match
+    it bit for bit."""
     e = float(e)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    tol = max(_TOL, 2.0 * math.ulp(float(np.max(np.abs(ts)))))
     u = ts + e * np.sin(ts)
     for _ in range(_NEWTON_CAP):
-        g = u - e * np.sin(u) - ts
-        if np.max(np.abs(g)) <= _TOL:
+        tau = np.tan(0.5 * u)
+        tau2 = tau * tau
+        w = 1.0 + tau2
+        e_sin_u = 2.0 * e * tau / w
+        g = u - e_sin_u - ts
+        if np.max(np.abs(g)) <= tol:
             break
-        u = u - g / (1.0 - e * np.cos(u))
+        rho_w = (1.0 - e) + (1.0 + e) * tau2  # (1 - e cos u)(1 + tau^2)
+        u = u - g * w / rho_w
     else:
         g = u - e * np.sin(u) - ts
-        for idx in np.flatnonzero(np.abs(g) > _TOL):
+        for idx in np.flatnonzero(np.abs(g) > tol):
             u[idx] = _bisect_kepler(e, ts[idx])
     return float(u[0]) if np.ndim(t) == 0 else u.reshape(np.shape(t))
 

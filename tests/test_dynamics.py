@@ -236,6 +236,19 @@ def test_rk4_reproduces_constructed_orbit():
     assert check_resonance(traj, 1, 1) <= 1e-5
 
 
+def test_integrate_over_100_moon_periods():
+    # the half grid reaches t = 200 pi; from 82 periods on it passes
+    # t = 512, beyond which the float nearest a Kepler root can leave a
+    # residual above 1e-13
+    moon = bundled_catalog("moons")[0]
+    params = ResonanceParams.from_body(moon, eta=0.0)
+    orbit = solve_bifurcation(params)
+    x0, v0 = orbit.initial_state()
+    traj = integrate(SpinState(x0, v0, 0.0), 100 * TWO_PI, params, step=TWO_PI / 256)
+    assert len(traj) == 25601
+    assert np.max(np.abs(traj.x - np.asarray(orbit.x_of(traj.t)))) <= 1e-4
+
+
 def test_dissipative_attraction_logged_not_asserted():
     # With eta > 0 a nearby trajectory is observed to drift toward the
     # constructed orbit for at least one root; attractivity is not part of

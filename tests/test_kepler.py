@@ -22,6 +22,7 @@ from spinorbit.kepler import (
     anomalies,
     eccentric_anomaly,
 )
+from spinorbit.potential import potential_fx
 
 
 def bisect_oracle(e, t, width=1e-14):
@@ -187,13 +188,57 @@ def test_anomalies_against_oracle():
 
 def test_true_anomaly_unwrapped():
     # f - t must be 2*pi-periodic and f itself continuous through the
-    # apoapsis, where the principal half-angle arctangent jumps.
+    # apoapses, the odd multiples of pi, where tan(u/2) is largest and
+    # f - u changes sign; there f = t.
     e = 0.3
-    t = np.linspace(-12.0, 12.0, 4001)
+    odd = math.pi * np.array([-3.0, -1.0, 1.0, 3.0])
+    t = np.sort(np.concatenate([np.linspace(-12.0, 12.0, 4001), odd]))
     f = anomalies(e, t).f
     assert np.max(np.abs(np.diff(f))) < 0.05  # no branch jumps
     f_shift = anomalies(e, t + 2.0 * math.pi).f
     assert np.max(np.abs(f_shift - f - 2.0 * math.pi)) < 1e-11
+    assert np.max(np.abs(anomalies(e, odd).f - odd)) < 1e-12
+
+
+@pytest.mark.parametrize("e", [0.0, 0.0549, 0.2056, 0.5, 0.9, 0.99, 0.999])
+def test_rho_and_f_against_mpmath_at_the_returned_u(e):
+    # the tangent forms of rho and f against 1 - e cos(u) and the unwrapped
+    # half-angle arctangent at 40 digits, at the u the solve returned
+    mpmath = pytest.importorskip("mpmath")
+    t = np.concatenate([math.pi * np.array([1.0, -1.0, 3.0, 14.0]), [0.0, 1e-9, -1e-9, 2.0, -4.0],
+                        np.geomspace(1e-6, 1.0, 13), np.random.default_rng(7).uniform(-50, 50, 30)])
+    u, rho, f = anomalies(e, t)
+    with mpmath.workdps(40):
+        E = mpmath.mpf(e)
+        for ui, rho_i, f_i in zip(u, rho, f):
+            U = mpmath.mpf(float(ui))
+            R = 1 - E * mpmath.cos(U)
+            half = 2 * mpmath.atan2(mpmath.sqrt(1 + E) * mpmath.sin(U / 2),
+                                    mpmath.sqrt(1 - E) * mpmath.cos(U / 2))
+            F = float(half + 2 * mpmath.pi * mpmath.nint((U - half) / (2 * mpmath.pi)))
+            assert abs(rho_i - float(R)) <= 4 * 2.0**-52 * float(R), (ui, rho_i, R)
+            assert abs(f_i - F) <= 4 * math.ulp(F), (ui, f_i, F)
+
+
+@pytest.mark.parametrize("e", [0.3, 0.6, 0.9, 0.99])
+def test_residual_bound_grows_with_the_ulp_of_t_beyond_256(e):
+    # beyond |t| = 256 the float nearest the root can leave a residual of
+    # ulp(t) > 1e-13: at t = 512.11 the two floats around the root leave
+    # +-1.14e-13, so a bound of 1e-13 would stop neither Newton nor bisection
+    t = np.linspace(100.0, 2000.0, 20001)
+    u = eccentric_anomaly(e, t)
+    assert np.max(np.abs(u - e * np.sin(u) - t)) <= 2.0 * math.ulp(2000.0)
+    u = eccentric_anomaly(e, 512.11)
+    assert abs(u - e * math.sin(u) - 512.11) <= 2.0 * math.ulp(512.11)
+
+
+@pytest.mark.parametrize("e", [np.float32(0.2056), np.array(0.2056)], ids=["float32", "0-d"])
+def test_eccentricity_is_evaluated_in_double_precision(e):
+    t = np.linspace(-7.0, 7.0, 201)
+    x = np.linspace(-1.0, 1.0, 201)
+    for got, want in zip(anomalies(e, t), anomalies(float(e), t)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(potential_fx(e, x, t), potential_fx(float(e), x, t))
 
 
 @pytest.mark.parametrize("b", [0.462678, 0.768368])

@@ -838,6 +838,13 @@ def test_root_search_refuses_a_bracket_without_a_sign_change():
         solver._bracketed_root(endpoint_values(0.25, 1.0, 2.0, 0.5), 0.25, 2.0, 1e-10)
 
 
+def test_root_search_narrows_the_bracket_below_1e_12_before_it_stagnates():
+    # a triple root meets tol = 1e-40 only within 5e-14 of 0.3, so the
+    # bracket must shrink well below 1e-12 before the stagnation check fires
+    root = solver._bracketed_root(lambda x: (0.3 - x)**3, 0.0, 1.0, 1e-40)
+    assert abs(root - 0.3) < 1e-13 and abs((0.3 - root)**3) <= 1e-40
+
+
 def test_root_search_stagnation_names_the_width(monkeypatch):
     monkeypatch.setattr(solver, "_TOL_BIFURCATION", 1e-300)
     with pytest.raises(SolverError, match=r"root search stagnated at width \d"):
